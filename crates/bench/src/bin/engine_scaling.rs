@@ -151,8 +151,8 @@ fn main() {
     );
 
     // One more run at 4 workers with the telemetry registry attached:
-    // per-stage latency quantiles for the harvest → health → publish →
-    // collect pipeline, plus the client-side take_bits latency.
+    // per-stage latency quantiles for the harvest → health → publish
+    // pipeline, plus the client-side take_bits latency.
     let workers = 4usize;
     println!("\ninstrumented run ({workers} workers) — per-stage latency:\n");
     let registry = MetricsRegistry::new();
@@ -178,7 +178,7 @@ fn main() {
     // Merge each stage's per-worker histograms into one distribution.
     println!("stage    |     p50 |     p99 |     max | samples");
     println!("---------|---------|---------|---------|--------");
-    for stage in ["harvest", "health", "publish", "collect"] {
+    for stage in ["harvest", "health", "publish"] {
         let mut merged: Option<drange_core::telemetry::HistogramSnapshot> = None;
         for sample in registry.samples() {
             if sample.name == "drange_stage_latency_ns"

@@ -152,7 +152,6 @@ fn main() {
             connection_backlog: clients,
             keep_alive: Duration::from_secs(30),
             fetch_timeout: Duration::from_millis(500),
-            max_pending_requests: 1 << 14,
             ..ServerConfig::default()
         },
     )

@@ -1,19 +1,13 @@
-//! Notification-driven bounded MPSC channel for harvest batches.
+//! Notification-driven bounded MPSC channel.
 //!
-//! The engine's worker→collector hand-off used to ride on a
-//! `crossbeam` bounded channel polled with `send_timeout` /
-//! `recv_timeout`: every state change the peers cared about (space
-//! opening up, a batch arriving, shutdown) was eventually *observed* by
-//! a timeout tick rather than *signaled*, which papered over lost
-//! wakeups with up-to-20 ms stalls on the serve path. This module is
-//! the replacement: a hand-rolled `Mutex<VecDeque>` + two condvars
-//! whose protocol matches the model checked in
-//! `crates/core/tests/loom_engine.rs` — every transition a blocked peer
-//! waits on performs an explicit notify, so all waits are plain
-//! (untimed) and a missing notify is a hard deadlock under the loom
-//! model instead of a silent latency cliff.
+//! A hand-rolled `Mutex<VecDeque>` + two condvars whose every blocking
+//! operation is signaled rather than polled: each transition a blocked
+//! peer waits on performs an explicit notify, so all waits are plain
+//! (untimed) and a missing notify is a hard deadlock under a loom model
+//! instead of a silent latency cliff. `drange-serve` hands accepted
+//! connections from its acceptor to its worker pool through it.
 //!
-//! Protocol invariants (the loom model checks these literally):
+//! Protocol invariants:
 //!
 //! - `send` publishes under the state lock and notifies `data` after
 //!   releasing it; `recv` consumes under the lock and notifies `space`.
@@ -23,15 +17,7 @@
 //!   wakeup (mutation-under-lock is the moral equivalent of the lock
 //!   barrier in `HarvestEngine::halt`).
 //! - `recv` keeps draining queued batches after `close` — shutdown must
-//!   not strand successfully-sent batches, or the engine's
-//!   bit-conservation invariant (harvested = served + queued +
-//!   discarded) breaks.
-//!
-//! [`ShardedChannel`] layers channel affinity on top: one
-//! single-sender [`BatchChannel`] per producer plus a doorbell
-//! sequence the consumer parks on, so producers never contend on each
-//! other's shard locks and the consumer multiplexes the shards with
-//! non-blocking drains ([`BatchChannel::try_recv`]).
+//!   not strand successfully-sent items.
 
 use std::collections::VecDeque;
 
@@ -89,8 +75,8 @@ impl<T> BatchChannel<T> {
     /// # Errors
     ///
     /// Returns the batch back when the channel was closed before space
-    /// opened up — the caller still owns the bits and must account for
-    /// them (the engine's workers book them as discarded).
+    /// opened up — the caller still owns it and decides what to do
+    /// with it.
     pub fn send(&self, batch: T) -> Result<(), T> {
         let mut state = self.state.lock();
         loop {
@@ -126,30 +112,6 @@ impl<T> BatchChannel<T> {
         drop(state);
         self.data.notify_one();
         Ok(())
-    }
-
-    /// Dequeues a batch if one is available right now, never blocking.
-    /// The non-blocking half of the consumer protocol: a consumer
-    /// multiplexing several channels (the sharded collector) cannot
-    /// park inside any single channel's `recv` without going deaf to
-    /// the others, so it polls with `try_recv` and parks on an
-    /// external doorbell instead (see [`ShardedChannel::recv_any`]).
-    ///
-    /// Like [`BatchChannel::recv`], queued batches keep draining after
-    /// [`BatchChannel::close`]; `Disconnected` is reported only once
-    /// every sender has retired *and* the queue is empty.
-    pub fn try_recv(&self) -> TryRecv<T> {
-        let mut state = self.state.lock();
-        if let Some(batch) = state.queue.pop_front() {
-            drop(state);
-            self.space.notify_one();
-            return TryRecv::Batch(batch);
-        }
-        if state.senders == 0 {
-            TryRecv::Disconnected
-        } else {
-            TryRecv::Empty
-        }
     }
 
     /// Blocks until a batch is available and returns it, or `None` once
@@ -206,167 +168,6 @@ impl<T> BatchChannel<T> {
     }
 
     /// Whether no batches are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Outcome of a non-blocking receive attempt
-/// ([`BatchChannel::try_recv`]).
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecv<T> {
-    /// A batch was dequeued.
-    Batch(T),
-    /// Nothing queued right now, but senders remain attached — more
-    /// batches may arrive.
-    Empty,
-    /// Nothing queued and every sender has retired: the stream has
-    /// ended.
-    Disconnected,
-}
-
-/// A channel-affine fan-in: one single-sender [`BatchChannel`] shard
-/// per producer, plus a doorbell the consumer parks on.
-///
-/// With a single shared MPSC channel, every worker publish contends on
-/// one lock with every *other* channel's worker — the hand-off
-/// serializes exactly the threads the engine spawned to be
-/// independent. Sharding makes each worker the sole sender of its own
-/// bounded [`BatchChannel`]: a publish touches that shard's lock
-/// (shared only with the collector's drain of the same shard) and the
-/// doorbell, so workers never contend on another channel's state and
-/// publish cost stays flat as workers are added.
-///
-/// Doorbell protocol (model-checked in `tests/loom_engine.rs`): every
-/// transition a parked consumer could be waiting on — a send landing,
-/// a sender retiring, the channel closing — bumps the doorbell
-/// sequence under the doorbell lock and notifies.
-/// [`ShardedChannel::recv_any`] snapshots the sequence *before*
-/// scanning the shards and parks only while the sequence still equals
-/// the snapshot: a ring that lands mid-scan advances the sequence, so
-/// the park is skipped and the wakeup cannot be lost. The doorbell
-/// lock is never held while a shard lock is held (and vice versa), so
-/// the two layers cannot deadlock against each other.
-#[derive(Debug)]
-pub struct ShardedChannel<T> {
-    shards: Vec<BatchChannel<T>>,
-    /// Doorbell sequence: bumped under this lock on every consumer-
-    /// visible transition, compared against a pre-scan snapshot by
-    /// `recv_any` before parking.
-    doorbell: Mutex<u64>,
-    /// Signaled (after the bump) whenever the doorbell sequence moves.
-    bell_rung: Condvar,
-}
-
-impl<T> ShardedChannel<T> {
-    /// A fan-in of `shards` single-sender channels, each holding at
-    /// most `capacity` batches. Shard `i` belongs to producer `i`.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        ShardedChannel {
-            shards: (0..shards)
-                .map(|_| BatchChannel::new(capacity, 1))
-                .collect(),
-            doorbell: Mutex::new(0),
-            bell_rung: Condvar::new(),
-        }
-    }
-
-    /// Number of shards (attached producers).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Bumps the doorbell sequence and wakes the consumer. Called
-    /// after every transition `recv_any` could be parked on.
-    fn ring(&self) {
-        let mut seq = self.doorbell.lock();
-        *seq = seq.wrapping_add(1);
-        drop(seq);
-        self.bell_rung.notify_all();
-    }
-
-    /// Blocks until the batch is queued on `shard`, then rings the
-    /// doorbell. Only producer `shard` may call this — the shard is
-    /// single-sender by construction.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchChannel::send`]: returns the batch back when the
-    /// channel was closed before space opened up.
-    pub fn send(&self, shard: usize, batch: T) -> Result<(), T> {
-        let out = self.shards[shard].send(batch);
-        if out.is_ok() {
-            self.ring();
-        }
-        out
-    }
-
-    /// Detaches producer `shard`. Must be called exactly once per
-    /// shard; rings the doorbell so a parked consumer re-scans and can
-    /// observe the end of the stream.
-    pub fn retire_sender(&self, shard: usize) {
-        self.shards[shard].retire_sender();
-        self.ring();
-    }
-
-    /// Closes every shard (blocked and future sends fail fast,
-    /// delivered batches keep draining) and rings the doorbell.
-    /// Idempotent.
-    pub fn close(&self) {
-        for shard in &self.shards {
-            shard.close();
-        }
-        self.ring();
-    }
-
-    /// Blocks until any shard has a batch and returns it, or `None`
-    /// once every producer has retired and all shards are drained.
-    ///
-    /// `cursor` persists the round-robin position across calls: the
-    /// scan resumes *after* the shard that last delivered, so one
-    /// fast producer cannot starve the others.
-    pub fn recv_any(&self, cursor: &mut usize) -> Option<T> {
-        let n = self.shards.len();
-        loop {
-            // Snapshot before the scan: a ring that lands during (or
-            // after) the scan advances the sequence past the snapshot
-            // and defeats the park below. Snapshotting after the scan
-            // would open a scan-to-park window where a send's ring is
-            // already folded into the snapshot — a lost wakeup (the
-            // loom model pins this ordering).
-            let snapshot = *self.doorbell.lock();
-            let mut live = false;
-            for k in 0..n {
-                let i = (*cursor + k) % n;
-                match self.shards[i].try_recv() {
-                    TryRecv::Batch(batch) => {
-                        *cursor = (i + 1) % n;
-                        return Some(batch);
-                    }
-                    TryRecv::Empty => live = true,
-                    TryRecv::Disconnected => {}
-                }
-            }
-            if !live {
-                return None;
-            }
-            // Not a re-acquire: `snapshot` above copies the u64 out of a
-            // temporary guard that drops at the end of its own statement.
-            // xtask:allow(lock-order) -- `snapshot` is a copied u64, its guard already dropped; the doorbell is unheld here
-            let mut seq = self.doorbell.lock();
-            while *seq == snapshot {
-                seq = self.bell_rung.wait(seq);
-            }
-        }
-    }
-
-    /// Batches currently queued across all shards (test/diagnostic
-    /// use).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(BatchChannel::len).sum()
-    }
-
-    /// Whether no batches are queued on any shard.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -475,102 +276,5 @@ mod tests {
         ch.close();
         assert_eq!(ch.send(5), Err(5));
         assert!(ch.is_empty());
-    }
-
-    #[test]
-    fn try_recv_reports_all_three_states() {
-        let ch = BatchChannel::new(4, 1);
-        assert_eq!(ch.try_recv(), TryRecv::Empty);
-        ch.send(9).unwrap();
-        assert_eq!(ch.try_recv(), TryRecv::Batch(9));
-        ch.send(10).unwrap();
-        ch.retire_sender();
-        // Delivered batches drain before the stream ends.
-        assert_eq!(ch.try_recv(), TryRecv::Batch(10));
-        assert_eq!(ch.try_recv(), TryRecv::Disconnected);
-    }
-
-    #[test]
-    fn try_recv_frees_space_for_a_blocked_sender() {
-        let ch = Arc::new(BatchChannel::new(1, 1));
-        ch.send(1).unwrap();
-        let producer = thread::spawn({
-            let ch = Arc::clone(&ch);
-            move || ch.send(2)
-        });
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(ch.try_recv(), TryRecv::Batch(1));
-        assert_eq!(producer.join().unwrap(), Ok(()));
-        assert_eq!(ch.try_recv(), TryRecv::Batch(2));
-    }
-
-    #[test]
-    fn sharded_round_robin_does_not_starve_a_slow_producer() {
-        let ch = ShardedChannel::new(4, 3);
-        // Shard 0 is "fast" (two batches queued), shard 2 has one.
-        ch.send(0, 100).unwrap();
-        ch.send(0, 101).unwrap();
-        ch.send(2, 300).unwrap();
-        let mut cursor = 0;
-        assert_eq!(ch.recv_any(&mut cursor), Some(100));
-        // The cursor moved past shard 0: shard 2's batch goes next even
-        // though shard 0 still has one queued.
-        assert_eq!(ch.recv_any(&mut cursor), Some(300));
-        assert_eq!(ch.recv_any(&mut cursor), Some(101));
-        assert!(ch.is_empty());
-    }
-
-    #[test]
-    fn sharded_recv_ends_after_every_sender_retires() {
-        let ch = ShardedChannel::new(4, 2);
-        ch.send(1, 7).unwrap();
-        ch.retire_sender(0);
-        ch.retire_sender(1);
-        let mut cursor = 0;
-        // Delivered batches drain before the end of the stream.
-        assert_eq!(ch.recv_any(&mut cursor), Some(7));
-        assert_eq!(ch.recv_any(&mut cursor), None);
-    }
-
-    #[test]
-    fn sharded_doorbell_wakes_a_parked_consumer() {
-        let ch = Arc::new(ShardedChannel::new(2, 2));
-        let consumer = thread::spawn({
-            let ch = Arc::clone(&ch);
-            move || {
-                let mut cursor = 0;
-                let first = ch.recv_any(&mut cursor);
-                let second = ch.recv_any(&mut cursor);
-                (first, second)
-            }
-        });
-        // Let the consumer park on the doorbell (best effort).
-        thread::sleep(Duration::from_millis(20));
-        ch.send(1, 42).unwrap();
-        ch.retire_sender(1);
-        ch.retire_sender(0);
-        assert_eq!(consumer.join().unwrap(), (Some(42), None));
-    }
-
-    #[test]
-    fn sharded_close_fails_a_blocked_sender_and_keeps_delivered_batches() {
-        let ch = Arc::new(ShardedChannel::new(1, 2));
-        ch.send(0, 10).unwrap();
-        let producer = thread::spawn({
-            let ch = Arc::clone(&ch);
-            move || {
-                // Blocks: shard 0 is full and nobody is draining.
-                let out = ch.send(0, 11);
-                ch.retire_sender(0);
-                out
-            }
-        });
-        thread::sleep(Duration::from_millis(20));
-        ch.close();
-        assert_eq!(producer.join().unwrap(), Err(11));
-        ch.retire_sender(1);
-        let mut cursor = 0;
-        assert_eq!(ch.recv_any(&mut cursor), Some(10));
-        assert_eq!(ch.recv_any(&mut cursor), None);
     }
 }

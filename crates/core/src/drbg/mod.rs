@@ -48,7 +48,7 @@ use drange_telemetry::{Counter, Histogram, MetricsRegistry, Tracer};
 use crate::engine::HarvestEngine;
 use crate::error::{DrangeError, Result};
 use crate::health::TripCounts;
-use crate::sync::{Mutex, SequenceCounter};
+use crate::sync::{deadline_after, Mutex, SequenceCounter};
 
 pub use credit::CreditLedger;
 
@@ -81,7 +81,7 @@ pub trait SeedSource {
 
 impl SeedSource for HarvestEngine {
     fn draw_seed(&self, bytes: usize, timeout: Duration) -> Result<Option<Vec<u8>>> {
-        self.take_bytes_timeout(bytes, timeout)
+        self.take_bytes_deadline(bytes, deadline_after(timeout))
     }
 
     fn trip_counts(&self) -> TripCounts {

@@ -80,7 +80,7 @@ pub mod sync;
 pub mod throughput;
 
 pub use bits::{BitBlock, BitQueue};
-pub use channel::{BatchChannel, ShardedChannel, TryRecv};
+pub use channel::BatchChannel;
 pub use drange_telemetry as telemetry;
 pub use drbg::{CreditLedger, DrbgConfig, DrbgFarm, DrbgStats, SeedSource};
 pub use engine::{

@@ -2,19 +2,20 @@
 //! randomness service with a REQUEST/RECEIVE interface over the
 //! concurrent harvesting engine.
 //!
-//! Applications `request` random bytes and later `receive` them. The
-//! service is a thread-safe front-end: any number of client threads may
-//! file requests, drive [`RandomnessService::process`], and collect
-//! results concurrently. Refilling is continuous and happens off the
-//! request path — the engine's worker threads (one per simulated
-//! channel) keep the shared queue topped up between the low watermark
-//! and the queue capacity, and per-worker health monitors discard
-//! output that fails the online tests (the paper's firmware routine,
-//! "whenever an application requests random samples and there is
-//! available DRAM bandwidth", generalized to a multi-channel system).
+//! Applications `request` random bytes and later collect them with
+//! `wait_receive`. The service is a thin adapter over the engine's one
+//! queue of screened bits: `request` records an id and its byte count,
+//! and the first `wait_receive` on that id claims it and draws the
+//! bytes from the pool, blocking while the workers harvest. Refilling
+//! is continuous and happens off the request path — the engine's
+//! worker threads (one per simulated channel) keep the pool topped up
+//! between the low watermark and the queue capacity, and per-worker
+//! health monitors discard output that fails the online tests (the
+//! paper's firmware routine, "whenever an application requests random
+//! samples and there is available DRAM bandwidth", generalized to a
+//! multi-channel system).
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
 
 use drange_telemetry::{Counter, Histogram, MetricsRegistry, Tracer};
 
@@ -22,9 +23,9 @@ use crate::drbg::{DrbgConfig, DrbgFarm, DrbgStats};
 use crate::engine::{EngineConfig, EngineStats, HarvestEngine, HarvestSource};
 use crate::error::{DrangeError, Result};
 use crate::sampler::DRange;
-use crate::sync::{deadline_after, Condvar, Mutex, SequenceCounter};
+use crate::sync::{Mutex, SequenceCounter};
 
-/// Identifier of a pending randomness request.
+/// Identifier of a filed randomness request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(u64);
 
@@ -56,25 +57,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A pending request.
-#[derive(Debug, Clone)]
-struct Pending {
-    id: RequestId,
-    bytes: usize,
-}
-
-/// Request bookkeeping behind one lock.
-#[derive(Debug, Default)]
-struct ServiceInner {
-    /// Filed but not yet picked up by a `process` call, in order.
-    pending: VecDeque<Pending>,
-    /// Every id filed and not yet received (pending, in flight, or
-    /// ready).
-    outstanding: HashSet<RequestId>,
-    /// Completed requests awaiting `receive`.
-    ready: HashMap<RequestId, Vec<u8>>,
-}
-
 /// Telemetry handles for the request front-end. All handles are no-ops
 /// when the service was built without a registry.
 #[derive(Debug, Clone, Default)]
@@ -82,8 +64,6 @@ struct ServiceTelemetry {
     requests: Counter,
     request_bytes: Counter,
     completed: Counter,
-    canceled: Counter,
-    timeouts: Counter,
     wait_receive_ns: Histogram,
 }
 
@@ -96,8 +76,6 @@ impl ServiceTelemetry {
             requests: reg.counter("drange_requests_total", &[]),
             request_bytes: reg.counter("drange_request_bytes_total", &[]),
             completed: reg.counter("drange_requests_completed_total", &[]),
-            canceled: reg.counter("drange_requests_canceled_total", &[]),
-            timeouts: reg.counter("drange_wait_timeouts_total", &[]),
             wait_receive_ns: reg.histogram("drange_wait_receive_latency_ns", &[]),
         }
     }
@@ -111,8 +89,8 @@ impl ServiceTelemetry {
 #[derive(Debug)]
 pub struct RandomnessService {
     engine: HarvestEngine,
-    inner: Mutex<ServiceInner>,
-    ready_cv: Condvar,
+    /// Filed requests not yet claimed by a `wait_receive`: id → bytes.
+    filed: Mutex<HashMap<RequestId, usize>>,
     next_id: SequenceCounter,
     config: ServiceConfig,
     telemetry: ServiceTelemetry,
@@ -163,9 +141,9 @@ impl RandomnessService {
     /// As [`RandomnessService::with_sources_telemetry`], additionally
     /// attaching a [`Tracer`]: the request path (`request`,
     /// `wait_receive`, the engine's pool drain) and the engine's
-    /// harvest/collector threads emit spans into the tracer's flight
-    /// recorder. With [`Tracer::noop`] (what the other constructors
-    /// pass) every span is inert and never reads the clock.
+    /// harvest threads emit spans into the tracer's flight recorder.
+    /// With [`Tracer::noop`] (what the other constructors pass) every
+    /// span is inert and never reads the clock.
     ///
     /// # Errors
     ///
@@ -176,23 +154,11 @@ impl RandomnessService {
         registry: Option<&MetricsRegistry>,
         tracer: Tracer,
     ) -> Result<Self> {
-        if config.low_watermark > config.queue_capacity || config.queue_capacity == 0 {
-            return Err(DrangeError::InvalidSpec(format!(
-                "watermark {} exceeds capacity {}",
-                config.low_watermark, config.queue_capacity
-            )));
-        }
-        if !(0.0..=1.0).contains(&config.min_entropy) || config.min_entropy == 0.0 {
-            return Err(DrangeError::InvalidSpec(
-                "min_entropy must be in (0,1]".into(),
-            ));
-        }
         let engine = HarvestEngine::spawn_traced(
             sources,
             EngineConfig {
                 queue_capacity: config.queue_capacity,
                 low_watermark: config.low_watermark,
-                high_watermark: config.queue_capacity,
                 min_entropy: config.min_entropy,
                 ..EngineConfig::default()
             },
@@ -210,8 +176,7 @@ impl RandomnessService {
         };
         Ok(RandomnessService {
             engine,
-            inner: Mutex::new(ServiceInner::default()),
-            ready_cv: Condvar::new(),
+            filed: Mutex::new(HashMap::new()),
             next_id: SequenceCounter::new(),
             config,
             telemetry: ServiceTelemetry::new(registry),
@@ -220,12 +185,9 @@ impl RandomnessService {
         })
     }
 
-    /// Files a request for `bytes` random bytes, returning its id.
-    ///
-    /// A zero-byte request completes immediately: its (empty) result is
-    /// ready the moment this returns, without ever entering the pending
-    /// queue — it cannot block behind harvesting or be starved by
-    /// larger requests.
+    /// Files a request for `bytes` random bytes, returning its id. No
+    /// bits move until a [`RandomnessService::wait_receive`] claims the
+    /// id.
     ///
     /// # Errors
     ///
@@ -250,172 +212,55 @@ impl RandomnessService {
         }
         self.telemetry.requests.inc();
         self.telemetry.request_bytes.add(bytes as u64);
-        let mut inner = self.inner.lock();
-        inner.outstanding.insert(id);
-        if bytes == 0 {
-            inner.ready.insert(id, Vec::new());
-            self.telemetry.completed.inc();
-        } else {
-            inner.pending.push_back(Pending { id, bytes });
-        }
+        self.filed.lock().insert(id, bytes);
         Ok(id)
     }
 
-    /// Cancels an outstanding request. Returns `true` when the id was
-    /// outstanding (its queued work and any ready bytes are dropped),
-    /// `false` when it was unknown or already received.
-    ///
-    /// A request whose bytes are being fetched by a concurrent
-    /// `process` call when it is canceled completes into the void: the
-    /// fetched bytes are dropped, not delivered. A thread blocked in
-    /// [`RandomnessService::wait_receive`] on the canceled id is woken
-    /// and gets the unknown-id error.
-    pub fn cancel(&self, id: RequestId) -> bool {
-        let mut inner = self.inner.lock();
-        if !inner.outstanding.remove(&id) {
-            return false;
-        }
-        inner.pending.retain(|p| p.id != id);
-        inner.ready.remove(&id);
-        drop(inner);
-        // Mutation happened under the lock, so this notify cannot land
-        // in a waiter's check-to-park window: wake waiters so one
-        // blocked on this id observes the cancellation.
-        self.ready_cv.notify_all();
-        self.telemetry.canceled.inc();
-        true
-    }
-
-    /// Runs the firmware loop: fulfills pending requests in order from
-    /// the engine's screened-bit queue, blocking while the workers
-    /// harvest. Returns the number of requests completed by *this*
-    /// call; concurrent callers split the pending queue between them.
+    /// Claims a filed request and returns its bytes, blocking until the
+    /// engine's pool can supply them. The first call on an id claims
+    /// it, whatever the outcome: an engine error consumes the id too.
+    /// A zero-byte request completes at once without touching the
+    /// pool.
     ///
     /// # Errors
     ///
     /// Propagates engine errors (e.g. a persistently unhealthy source
-    /// retiring the last worker); the request being served is requeued
-    /// so no id is lost.
-    pub fn process(&self) -> Result<usize> {
-        self.process_deadline(None).map(|(completed, _)| completed)
-    }
-
-    /// The firmware loop with an optional give-up deadline. Returns
-    /// `(completed, expired)`; when `expired` is true the request being
-    /// served hit the deadline while waiting for bits and was requeued
-    /// (with waiters notified), not lost.
-    ///
-    /// Every exit that leaves work in the pending queue — engine error
-    /// or deadline — requeues under the lock *and* notifies `ready_cv`:
-    /// a waiter parked on an id this call was serving must wake and
-    /// re-drive the firmware loop itself, or it would wait forever on a
-    /// completion that no thread is producing anymore (the lost wakeup
-    /// pinned by `tests/loom_service.rs`).
-    fn process_deadline(&self, deadline: Option<Instant>) -> Result<(usize, bool)> {
-        let mut completed = 0usize;
-        loop {
-            let head = { self.inner.lock().pending.pop_front() };
-            let Some(head) = head else { break };
-            let outcome = match deadline {
-                None => self.engine.take_bytes(head.bytes).map(Some),
-                Some(d) => self.engine.take_bytes_deadline(head.bytes, d),
-            };
-            match outcome {
-                Ok(Some(bytes)) => {
-                    {
-                        let mut inner = self.inner.lock();
-                        // A request canceled while its bytes were being
-                        // fetched completes into the void.
-                        if inner.outstanding.contains(&head.id) {
-                            inner.ready.insert(head.id, bytes);
-                        }
-                    }
-                    self.ready_cv.notify_all();
-                    self.telemetry.completed.inc();
-                    completed += 1;
-                }
-                Ok(None) => {
-                    self.inner.lock().pending.push_front(head);
-                    self.ready_cv.notify_all();
-                    return Ok((completed, true));
-                }
-                Err(e) => {
-                    self.inner.lock().pending.push_front(head);
-                    self.ready_cv.notify_all();
-                    return Err(e);
-                }
-            }
-        }
-        Ok((completed, false))
-    }
-
-    /// Retrieves a completed request's bytes, if ready. Each request is
-    /// consumed exactly once.
-    pub fn receive(&self, id: RequestId) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        let bytes = inner.ready.remove(&id)?;
-        inner.outstanding.remove(&id);
-        Some(bytes)
-    }
-
-    /// Drives the firmware loop until the given request is ready and
-    /// returns its bytes — the blocking client-side convenience over
-    /// [`RandomnessService::process`] / [`RandomnessService::receive`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors, and returns
+    /// retiring the last worker), and returns
     /// [`DrangeError::InvalidSpec`] for an id that was never filed on
-    /// this service or was already received.
+    /// this service or was already claimed.
     pub fn wait_receive(&self, id: RequestId) -> Result<Vec<u8>> {
         let t0 = self.telemetry.wait_receive_ns.start();
-        let out = match self.wait_receive_inner(id, None) {
-            Ok(Some(bytes)) => Ok(bytes),
-            // Unreachable: an untimed wait only returns on success or
-            // error, but the no-panic policy forbids asserting so.
-            Ok(None) => Err(DrangeError::Engine(
-                "untimed wait_receive reported a timeout".into(),
+        // The wait span covers the engine call, so the engine's
+        // `engine.pool_drain` span nests under it through the
+        // thread-local context.
+        let mut span = self.tracer.span("service.wait");
+        span.attr_u64("request_id", id.0);
+        let claimed = self.filed.lock().remove(&id);
+        let out = match claimed {
+            None => Err(DrangeError::InvalidSpec(
+                "unknown or already-received request id".into(),
             )),
-            Err(e) => Err(e),
+            Some(0) => Ok(Vec::new()),
+            Some(bytes) => self.engine.take_bytes(bytes),
         };
-        self.telemetry.wait_receive_ns.observe_since(t0);
-        out
-    }
-
-    /// As [`RandomnessService::wait_receive`], but gives up and returns
-    /// `Ok(None)` once `timeout` elapses without the request
-    /// completing. On timeout the request stays outstanding — it keeps
-    /// its place in the queue and a later `wait_receive`,
-    /// `wait_receive_timeout`, or [`RandomnessService::receive`] (after
-    /// some thread processes it) can still collect the bytes; call
-    /// [`RandomnessService::cancel`] to abandon it instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`RandomnessService::wait_receive`].
-    pub fn wait_receive_timeout(
-        &self,
-        id: RequestId,
-        timeout: Duration,
-    ) -> Result<Option<Vec<u8>>> {
-        let t0 = self.telemetry.wait_receive_ns.start();
-        let out = self.wait_receive_inner(id, Some(deadline_after(timeout)));
-        self.telemetry.wait_receive_ns.observe_since(t0);
-        if let Ok(None) = &out {
-            self.telemetry.timeouts.inc();
+        drop(span);
+        if out.is_ok() {
+            self.telemetry.completed.inc();
         }
+        self.telemetry.wait_receive_ns.observe_since(t0);
         out
     }
 
     /// Serves `bytes` of conditioned output from the DRBG tier — the
     /// `fast` QoS path (DESIGN.md §5k). Synchronous and lock-light:
-    /// one round-robin shard mutex, no request id, no pending queue,
-    /// no engine wait unless the picked shard is due a reseed.
+    /// one round-robin shard mutex, no request id, no engine wait
+    /// unless the picked shard is due a reseed.
     ///
     /// A zero-byte request completes immediately without minting a
     /// DRBG generate (no shard is touched, no reseed can trigger, and
     /// `drange_drbg_generates_total` does not move) — the fast-tier
-    /// analogue of [`RandomnessService::request`]'s zero-byte path.
+    /// analogue of [`RandomnessService::wait_receive`]'s zero-byte
+    /// path.
     ///
     /// # Errors
     ///
@@ -467,67 +312,6 @@ impl RandomnessService {
         })
     }
 
-    /// The blocking receive loop. Alternates between driving the
-    /// firmware loop and a notification-driven wait on `ready_cv`.
-    ///
-    /// The wait protocol (model-checked in `tests/loom_service.rs`):
-    /// a waiter parks only while its id is *in flight* on another
-    /// thread — not ready, still outstanding, and not in the pending
-    /// queue. Every transition out of that state notifies `ready_cv`
-    /// under the inner lock: completion and cancellation remove the id
-    /// from flight, and an error or timeout in the serving thread
-    /// requeues the id (the waiter then sees it in `pending`, stops
-    /// waiting, and drives `process` itself). The old implementation
-    /// skipped the requeue notify and papered over the lost wakeup with
-    /// a 5 ms poll; with plain waits that bug would be a deadlock, so
-    /// the predicate and the notifies must stay in lockstep.
-    fn wait_receive_inner(
-        &self,
-        id: RequestId,
-        deadline: Option<Instant>,
-    ) -> Result<Option<Vec<u8>>> {
-        // The wait span covers the whole loop, so the engine's
-        // `engine.pool_drain` spans (emitted inline by the
-        // `process_deadline` call below) nest under it through the
-        // thread-local context.
-        let mut span = self.tracer.span("service.wait");
-        span.attr_u64("request_id", id.0);
-        loop {
-            let (_, mut expired) = self.process_deadline(deadline)?;
-            let mut inner = self.inner.lock();
-            loop {
-                if let Some(bytes) = inner.ready.remove(&id) {
-                    inner.outstanding.remove(&id);
-                    return Ok(Some(bytes));
-                }
-                if !inner.outstanding.contains(&id) {
-                    return Err(DrangeError::InvalidSpec(
-                        "unknown, canceled, or already-received request id".into(),
-                    ));
-                }
-                if expired {
-                    span.attr_bool("timed_out", true);
-                    return Ok(None);
-                }
-                if inner.pending.iter().any(|p| p.id == id) {
-                    // Our id is (back) in the queue and no thread owns
-                    // it: drive the firmware loop ourselves.
-                    break;
-                }
-                // In flight on another thread; wait for its completion
-                // (or requeue/cancel) notify.
-                match deadline {
-                    None => inner = self.ready_cv.wait(inner),
-                    Some(d) => {
-                        // On timeout, loop once more: ready/outstanding
-                        // may have changed while we raced the deadline.
-                        (inner, expired) = self.ready_cv.wait_until(inner, d);
-                    }
-                }
-            }
-        }
-    }
-
     /// Bits currently queued and ready to serve.
     pub fn queued_bits(&self) -> usize {
         self.engine.queued_bits()
@@ -535,22 +319,16 @@ impl RandomnessService {
 
     /// Bits discarded by the health monitors.
     pub fn discarded_bits(&self) -> u64 {
-        self.engine.stats().discarded_bits
+        self.engine.discarded_bits()
     }
 
-    /// Requests filed but not yet picked up by a `process` call
-    /// (requests currently being served by another thread are not
-    /// counted).
-    pub fn pending_requests(&self) -> usize {
-        self.inner.lock().pending.len()
-    }
-
-    /// Ids filed and not yet received or canceled — pending, in flight,
-    /// or ready. A front-end that files a request per connection can
-    /// assert this returns to zero when its clients disconnect: a
-    /// nonzero steady-state value means request ids are leaking.
+    /// Ids filed and not yet claimed by a
+    /// [`RandomnessService::wait_receive`]. A front-end that files a
+    /// request per connection can assert this returns to zero when its
+    /// clients disconnect: a nonzero steady-state value means request
+    /// ids are leaking.
     pub fn outstanding_requests(&self) -> usize {
-        self.inner.lock().outstanding.len()
+        self.filed.lock().len()
     }
 
     /// Engine-level statistics (harvested/discarded/queued bits and
@@ -575,13 +353,13 @@ impl RandomnessService {
     /// initial catalog). Always `false` for sources without a lifecycle
     /// manager.
     pub fn is_degraded(&self) -> bool {
-        self.engine.stats().is_degraded()
+        self.engine.is_degraded()
     }
 
     /// Aggregated RNG-cell lifecycle statistics across all workers, or
     /// `None` when no source reports lifecycle state.
     pub fn lifecycle(&self) -> Option<crate::lifecycle::LifecycleStats> {
-        self.engine.stats().lifecycle
+        self.engine.lifecycle()
     }
 
     /// Stops harvesting, joins the engine's threads, and returns the
@@ -601,6 +379,7 @@ mod tests {
     use crate::sampler::DRangeConfig;
     use dram_sim::{DeviceConfig, Manufacturer};
     use memctrl::MemoryController;
+    use std::time::Duration;
 
     fn fresh_ctrl() -> MemoryController {
         MemoryController::from_config(
@@ -660,14 +439,13 @@ mod tests {
         let s = service();
         let id1 = s.request(32).unwrap();
         let id2 = s.request(16).unwrap();
-        assert_eq!(s.pending_requests(), 2);
-        let done = s.process().unwrap();
-        assert_eq!(done, 2);
-        let k1 = s.receive(id1).unwrap();
-        let k2 = s.receive(id2).unwrap();
+        assert_eq!(s.outstanding_requests(), 2);
+        let k2 = s.wait_receive(id2).unwrap();
+        let k1 = s.wait_receive(id1).unwrap();
         assert_eq!(k1.len(), 32);
         assert_eq!(k2.len(), 16);
-        assert!(s.receive(id1).is_none(), "a request is consumed once");
+        assert_eq!(s.outstanding_requests(), 0);
+        assert!(s.wait_receive(id1).is_err(), "a request is consumed once");
     }
 
     #[test]
@@ -699,8 +477,7 @@ mod tests {
         )
         .unwrap();
         let id = s.request(64).unwrap();
-        s.process().unwrap();
-        assert_eq!(s.receive(id).unwrap().len(), 64);
+        assert_eq!(s.wait_receive(id).unwrap().len(), 64);
         assert_eq!(s.discarded_bits(), 0);
     }
 
@@ -730,8 +507,7 @@ mod tests {
         )
         .unwrap();
         let id = s.request(16).unwrap();
-        s.process().unwrap();
-        assert_eq!(s.receive(id).unwrap().len(), 16);
+        assert_eq!(s.wait_receive(id).unwrap().len(), 16);
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         let lc = loop {
             if let Some(lc) = s.lifecycle() {
@@ -752,8 +528,7 @@ mod tests {
         let s = service();
         let a = s.request(16).unwrap();
         let b = s.request(16).unwrap();
-        s.process().unwrap();
-        assert_ne!(s.receive(a).unwrap(), s.receive(b).unwrap());
+        assert_ne!(s.wait_receive(a).unwrap(), s.wait_receive(b).unwrap());
     }
 
     #[test]
@@ -794,11 +569,11 @@ mod tests {
         // individual request never sees 1000 rejections itself.
         let s =
             RandomnessService::with_sources(vec![StuckSource], ServiceConfig::default()).unwrap();
-        let _ = s.request(16).unwrap();
-        let err = s.process().unwrap_err();
+        let id = s.request(16).unwrap();
+        let err = s.wait_receive(id).unwrap_err();
         assert!(matches!(err, DrangeError::Unhealthy(_)), "got {err:?}");
-        // The failed request is requeued, not lost.
-        assert_eq!(s.pending_requests(), 1);
+        // The failed wait consumed the id: nothing leaks.
+        assert_eq!(s.outstanding_requests(), 0);
     }
 
     /// Deterministic healthy source (splitmix64 bits), cheap enough for
@@ -916,21 +691,10 @@ mod tests {
     fn zero_byte_request_completes_immediately() {
         let s = small_prng_service();
         let id = s.request(0).unwrap();
-        assert_eq!(s.pending_requests(), 0, "never enters the queue");
-        assert_eq!(
-            s.receive(id).as_deref(),
-            Some(&[][..]),
-            "ready without any process call"
-        );
-        assert_eq!(s.outstanding_requests(), 0);
-        // The blocking paths agree.
-        let id = s.request(0).unwrap();
+        assert_eq!(s.outstanding_requests(), 1);
         assert_eq!(s.wait_receive(id).unwrap(), Vec::<u8>::new());
-        let id = s.request(0).unwrap();
-        assert_eq!(
-            s.wait_receive_timeout(id, Duration::from_secs(5)).unwrap(),
-            Some(Vec::new())
-        );
+        assert_eq!(s.outstanding_requests(), 0);
+        assert_eq!(s.stats().served_bits, 0, "the pool is never touched");
     }
 
     /// The fast-tier analog of the zero-byte contract: a zero-byte
@@ -983,110 +747,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_drops_a_pending_request() {
+    fn unknown_ids_are_rejected() {
         let s = small_prng_service();
-        let id = s.request(16).unwrap();
-        assert_eq!(s.outstanding_requests(), 1);
-        assert!(s.cancel(id));
-        assert_eq!(s.outstanding_requests(), 0);
-        assert_eq!(s.pending_requests(), 0);
-        assert!(!s.cancel(id), "cancel consumes the id");
-        assert!(s.receive(id).is_none());
-        assert!(s.wait_receive(id).is_err(), "canceled ids are unknown");
-        // Later requests are unaffected.
-        let id2 = s.request(8).unwrap();
-        assert_eq!(s.wait_receive(id2).unwrap().len(), 8);
-    }
-
-    #[test]
-    fn cancel_drops_a_ready_request() {
-        let s = small_prng_service();
-        let id = s.request(16).unwrap();
-        s.process().unwrap();
-        assert!(s.cancel(id));
-        assert!(s.receive(id).is_none(), "ready bytes were dropped");
-        assert_eq!(s.outstanding_requests(), 0);
-    }
-
-    /// A healthy source that takes real time per batch, so timed waits
-    /// engage deterministically.
-    #[derive(Debug)]
-    struct SlowSource {
-        state: u64,
-        delay: Duration,
-    }
-
-    impl HarvestSource for SlowSource {
-        fn harvest_batch(&mut self) -> Result<BitBlock> {
-            std::thread::sleep(self.delay);
-            Ok((0..1024)
-                .map(|_| {
-                    self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let mut z = self.state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    (z ^ (z >> 31)) & 1 == 1
-                })
-                .collect())
-        }
-    }
-
-    #[test]
-    fn wait_receive_timeout_expires_then_the_request_survives() {
-        let s = RandomnessService::with_sources(
-            vec![SlowSource {
-                state: 3,
-                delay: Duration::from_millis(100),
-            }],
-            ServiceConfig {
-                queue_capacity: 2048,
-                low_watermark: 256,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let id = s.request(16).unwrap();
-        // Far shorter than the first batch's harvest delay.
-        let out = s
-            .wait_receive_timeout(id, Duration::from_millis(5))
-            .unwrap();
-        assert_eq!(out, None, "timed out before any bits arrived");
-        assert_eq!(s.outstanding_requests(), 1, "the request is not lost");
-        // The untimed wait picks the same request back up and serves it.
-        assert_eq!(s.wait_receive(id).unwrap().len(), 16);
-        assert_eq!(s.outstanding_requests(), 0);
-    }
-
-    #[test]
-    fn canceled_in_flight_request_completes_into_the_void() {
-        let s = std::sync::Arc::new(
-            RandomnessService::with_sources(
-                vec![SlowSource {
-                    state: 5,
-                    delay: Duration::from_millis(50),
-                }],
-                ServiceConfig {
-                    queue_capacity: 2048,
-                    low_watermark: 256,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        );
-        let id = s.request(16).unwrap();
-        let worker = std::thread::spawn({
-            let s = std::sync::Arc::clone(&s);
-            move || s.process()
-        });
-        // Cancel while the processor is (most likely) blocked in the
-        // engine fetching this id's bytes. Whichever side wins the
-        // race, the invariant is the same: nothing is delivered and no
-        // id leaks.
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(s.cancel(id));
-        worker.join().unwrap().unwrap();
-        assert!(s.receive(id).is_none());
-        assert_eq!(s.outstanding_requests(), 0);
-        assert_eq!(s.pending_requests(), 0);
+        let other = small_prng_service();
+        // `other` files an id `s` never saw.
+        let foreign = other.request(8).unwrap();
+        assert!(s.wait_receive(foreign).is_err(), "never filed here");
+        assert_eq!(other.wait_receive(foreign).unwrap().len(), 8);
     }
 }

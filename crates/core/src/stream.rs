@@ -206,7 +206,6 @@ mod tests {
         let config = EngineConfig {
             queue_capacity: 1 << 10,
             low_watermark: 1 << 6,
-            high_watermark: 1 << 9,
             ..EngineConfig::default()
         };
         let engine = HarvestEngine::spawn(vec![trng()], config).unwrap();
@@ -251,7 +250,6 @@ mod tests {
         let config = EngineConfig {
             queue_capacity: 1 << 12,
             low_watermark: 1 << 8,
-            high_watermark: 1 << 11,
             ..EngineConfig::default()
         };
         let engine = HarvestEngine::spawn_with_telemetry(

@@ -138,8 +138,8 @@ impl CounterCell {
 }
 
 /// A one-way latch: starts lowered, can only be raised, never lowered
-/// again. Models irreversible protocol transitions (shutdown requested,
-/// collector finished).
+/// again. Models irreversible protocol transitions (engine shutdown
+/// requested, server stopping).
 #[derive(Debug, Default)]
 pub struct Flag(AtomicBool);
 
@@ -226,8 +226,8 @@ impl LiveCount {
 }
 
 /// Accounting for bits that have been accepted by health screening but
-/// not yet landed in the shared pool (published into the channel,
-/// in-flight). The engine's conservation invariant — after a graceful
+/// not yet landed in the shared pool (in flight from a worker to the
+/// pool lock). The engine's conservation invariant — after a graceful
 /// shutdown, *harvested = served + queued + discarded* — holds exactly
 /// when this ledger drains to zero.
 #[derive(Debug, Default)]
@@ -240,15 +240,13 @@ impl BitLedger {
         BitLedger::default()
     }
 
-    /// Records `bits` entering flight (screened and handed to the
-    /// channel).
+    /// Records `bits` entering flight (screened, not yet pushed).
     pub fn publish(&self, bits: u64) {
-        // xtask:allow(atomics-policy) -- in-flight bits must be visible before the channel send they account for
+        // xtask:allow(atomics-policy) -- in-flight bits must be visible before the pool push they account for
         self.0.fetch_add(bits, Ordering::SeqCst);
     }
 
-    /// Records `bits` leaving flight (collected into the pool, or
-    /// discarded because they became undeliverable during shutdown).
+    /// Records `bits` leaving flight (pushed into the pool).
     ///
     /// Saturates at zero: retiring more bits than are outstanding is an
     /// accounting bug, and a ledger stuck at `u64::MAX - ε` after a
@@ -271,11 +269,13 @@ impl BitLedger {
     }
 }
 
-/// The collector's hysteresis gate (Section 6.3's "available DRAM
-/// bandwidth" policy): stop filling the pool at the high watermark,
-/// resume once it has drained to the low one. Pure state machine — the
-/// caller owns the locking and waiting — so the policy is unit-testable
-/// and model-checkable in isolation.
+/// The engine pool's hysteresis gate (Section 6.3's "available DRAM
+/// bandwidth" policy): stop filling the pool at the high watermark
+/// (the pool capacity), resume once it has drained to the low one. It
+/// lives under the pool mutex, next to the bits it measures, and every
+/// harvest worker consults it after each publish. Pure state machine —
+/// the caller owns the locking and waiting — so the policy is
+/// unit-testable and model-checkable in isolation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatermarkGate {
     low: usize,
@@ -296,7 +296,7 @@ impl WatermarkGate {
     }
 
     /// Advances the hysteresis with the current pool size and returns
-    /// whether the collector should admit more bits right now.
+    /// whether workers should publish more bits right now.
     pub fn admit(&mut self, pool_bits: usize) -> bool {
         if pool_bits >= self.high {
             self.filling = false;

@@ -41,7 +41,6 @@ fn small_config() -> EngineConfig {
     EngineConfig {
         queue_capacity: 1 << 11,
         low_watermark: 1 << 7,
-        high_watermark: 1 << 10,
         ..EngineConfig::default()
     }
 }

@@ -46,13 +46,15 @@ proptest! {
         prop_assert!(nist_sts::serial::test(&bits).unwrap().passed(1e-6));
     }
 
-    /// erfc is monotone decreasing and bounded in (0, 2).
+    /// erfc is monotone decreasing and bounded in (0, 2]. The exact
+    /// value never reaches 2, but below x ≈ −5.86 it lies within half
+    /// an ulp of 2, so the correctly rounded `f64` is 2.0.
     #[test]
     fn erfc_monotone(x in -6.0f64..6.0, dx in 0.001f64..2.0) {
         let a = erfc(x);
         let b = erfc(x + dx);
         prop_assert!(b <= a + 1e-12);
-        prop_assert!(a > 0.0 && a < 2.0);
+        prop_assert!(a > 0.0 && a <= 2.0);
     }
 
     /// The normal CDF is a CDF: monotone, symmetric, bounded.

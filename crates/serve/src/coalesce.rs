@@ -1,30 +1,30 @@
 //! Request coalescing: batch concurrent small reads into one engine
-//! request.
+//! fetch.
 //!
-//! With many clients asking for a few dozen bytes each, filing one
-//! [`RandomnessService::request`] per HTTP request makes every client
-//! pay a queue traversal and a pool wakeup for a handful of bits. The
-//! [`Coalescer`] uses the classic *combining* pattern instead: callers
-//! enqueue a ticket, the first caller to observe no active leader
-//! elects itself, drains the ticket queue into one combined
-//! `request(total)`, splits the returned buffer back across the
-//! tickets, and wakes everyone. Followers never talk to the engine;
-//! they park on one condvar until their ticket's result appears.
+//! With many clients asking for a few dozen bytes each, one pool drain
+//! per HTTP request makes every client pay a pool-lock round trip and a
+//! wakeup for a handful of bits. The [`Coalescer`] uses the classic
+//! *combining* pattern instead: callers enqueue a ticket, the first
+//! caller to observe no active leader elects itself, drains the ticket
+//! queue into one combined
+//! [`HarvestEngine::take_bytes_deadline`](drange_core::HarvestEngine::take_bytes_deadline),
+//! splits the returned buffer back across the tickets, and wakes
+//! everyone. Followers never talk to the engine; they park on one
+//! condvar until their ticket's result appears.
 //!
-//! The wait protocol deliberately mirrors the service's own (see
-//! `crates/core/tests/loom_service.rs`): every transition a parked
-//! thread cares about — a result landing, the leader stepping down —
-//! notifies `cv`, and the park predicate re-checks for leaderlessness
-//! so a caller whose leader finished before it parked elects itself
-//! instead of waiting for a wakeup no thread will send. The only timed
-//! wait is the leader's [`RandomnessService::wait_receive_timeout`]
-//! against the engine; followers block on completion or leadership,
-//! never on the clock.
+//! The wait protocol is model-checked in `tests/loom_coalesce.rs`:
+//! every transition a parked thread cares about — a result landing,
+//! the leader stepping down — notifies `cv`, and the park predicate
+//! re-checks for leaderlessness so a caller whose leader finished
+//! before it parked elects itself instead of waiting for a wakeup no
+//! thread will send. The only timed wait is the leader's deadline-bound
+//! pool drain; followers block on completion or leadership, never on
+//! the clock.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use drange_core::sync::{Condvar, Mutex};
+use drange_core::sync::{deadline_after, Condvar, Mutex};
 use drange_core::telemetry::{TraceId, Tracer};
 use drange_core::{DrangeError, RandomnessService};
 
@@ -162,25 +162,20 @@ impl Coalescer {
         }
     }
 
-    /// One engine round-trip for a request too large to combine.
+    /// One engine round-trip: a deadline-bound drain of the service's
+    /// pool, for a request too large to combine or a combined batch.
     fn fetch_direct(
         &self,
         service: &RandomnessService,
         bytes: usize,
     ) -> Result<Vec<u8>, FetchError> {
-        let id = service.request(bytes).map_err(reject)?;
-        match service.wait_receive_timeout(id, self.fetch_timeout) {
+        match service
+            .engine()
+            .take_bytes_deadline(bytes, deadline_after(self.fetch_timeout))
+        {
             Ok(Some(buf)) => Ok(buf),
-            Ok(None) => {
-                // The request would otherwise stay outstanding and an
-                // eventual completion would strand bytes in `ready`.
-                service.cancel(id);
-                Err(FetchError::Underrun)
-            }
-            Err(e) => {
-                service.cancel(id);
-                Err(FetchError::Engine(e.to_string()))
-            }
+            Ok(None) => Err(FetchError::Underrun),
+            Err(e) => Err(classify(e)),
         }
     }
 
@@ -251,9 +246,9 @@ impl Coalescer {
     }
 }
 
-/// Classifies a `request()` error: spec rejections are client errors,
+/// Classifies an engine error: spec rejections are client errors,
 /// everything else is an engine failure.
-fn reject(e: DrangeError) -> FetchError {
+fn classify(e: DrangeError) -> FetchError {
     match e {
         DrangeError::InvalidSpec(msg) => FetchError::Rejected(msg),
         other => FetchError::Engine(other.to_string()),

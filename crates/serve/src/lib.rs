@@ -2,7 +2,7 @@
 //!
 //! An HTTP/1.1-over-TCP front-end on [`drange_core::RandomnessService`]
 //! built from `std::net` only: an acceptor thread feeds accepted
-//! connections through the engine's own [`drange_core::BatchChannel`]
+//! connections through a [`drange_core::BatchChannel`]
 //! to a fixed pool of worker threads, each of which owns a connection
 //! for its keep-alive lifetime. Every wait on the serve path is
 //! notification-driven — the connection queue, the request coalescer,
@@ -15,7 +15,7 @@
 //!
 //! | Endpoint | Method | Success | Failure |
 //! |---|---|---|---|
-//! | `/random?bytes=N&source=fast\|true` | GET/HEAD | `200` octet-stream | `400` bad/zero/oversized count or unknown/disabled source, `429 + Retry-After` rate limit, `503 + Retry-After` overload/underrun |
+//! | `/random?bytes=N&source=fast\|true` | GET/HEAD | `200` octet-stream | `400` bad/zero/oversized count or unknown/disabled source, `429 + Retry-After` rate limit, `503 + Retry-After` underrun |
 //! | `/healthz` | GET | `200 ok` | `503 degraded` |
 //! | `/metrics` | GET | `200` Prometheus text | — |
 //! | `/-/shutdown` | POST | `200`, then graceful stop | `404` unless enabled |
@@ -37,12 +37,12 @@
 //! `?source=fast|true` (default [`ServerConfig::default_source`]):
 //!
 //! * **`true`** — raw health-screened harvest bits through the
-//!   coalescer and the REQUEST/RECEIVE service: every served byte is
-//!   physical DRAM entropy, rate-bound by harvest throughput.
+//!   coalescer, drained straight from the engine's pool: every served
+//!   byte is physical DRAM entropy, rate-bound by harvest throughput.
 //! * **`fast`** — the per-shard ChaCha20 DRBG conditioning tier
 //!   ([`drange_core::DrbgFarm`], DESIGN.md §5k): cryptographically
 //!   conditioned output continuously reseeded from the same screened
-//!   pool, served synchronously (no coalescer, no admission queue) at
+//!   pool, served synchronously (no coalescer, no pool wait) at
 //!   rates decoupled from harvest throughput. Requires the service's
 //!   conditioning tier ([`drange_core::ServiceConfig::drbg`]); `400`
 //!   when disabled.
@@ -55,8 +55,8 @@
 //!
 //! [`Server::bind_with_recorder`] attaches a
 //! [`drange_core::telemetry::FlightRecorder`]: each request then
-//! records a span tree — parse, rate limit, admission, coalesced fetch,
-//! the service wait, the engine's pool drain, response write — into a
+//! records a span tree — parse, rate limit, coalesced fetch, the
+//! combined engine fetch and its pool drain, response write — into a
 //! bounded in-memory ring, exported at `/debug/trace` (Chrome
 //! trace-event JSON) and `/debug/slow` (a human-readable table of the
 //! slowest requests). Without a recorder every span is a no-op that
@@ -64,13 +64,12 @@
 //!
 //! ## Backpressure
 //!
-//! Load sheds in three layers, cheapest first: the per-IP token bucket
-//! (`429`) spends no engine resources; the admission watermark (`503`
-//! when the service's pending queue is already deeper than
-//! [`ServerConfig::max_pending_requests`]) sheds before parking a
-//! worker; and the coalescer's fetch timeout (`503`) bounds how long
-//! an admitted request may wait out a pool underrun. Both `503`s
-//! advertise [`ServerConfig::retry_after`].
+//! Load sheds in two layers, cheapest first: the per-IP token bucket
+//! (`429`) spends no engine resources, and the coalescer's fetch
+//! timeout (`503`, advertising [`ServerConfig::retry_after`]) bounds
+//! how long a request may wait out a pool underrun. Each of the
+//! [`ServerConfig::worker_threads`] workers holds at most one engine
+//! fetch, so the workers themselves bound the load on the engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,7 +100,7 @@ pub use ratelimit::{Admission, RateLimitConfig, RateLimiter};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceMode {
     /// Raw health-screened harvest bits via the coalescer and the
-    /// REQUEST/RECEIVE service — every byte is physical DRAM entropy.
+    /// engine's pool — every byte is physical DRAM entropy.
     #[default]
     True,
     /// The ChaCha20 DRBG conditioning tier, reseeded from the screened
@@ -155,9 +154,6 @@ pub struct ServerConfig {
     pub coalesce_max_bytes: usize,
     /// Cap on requests combined into one engine request.
     pub coalesce_max_batch: usize,
-    /// Admission watermark: when the service already has this many
-    /// pending engine requests, new work is shed with `503`.
-    pub max_pending_requests: usize,
     /// Per-IP token bucket; `None` disables rate limiting.
     pub rate_limit: Option<RateLimitConfig>,
     /// Whether `POST /-/shutdown` stops the server (off by default;
@@ -186,7 +182,6 @@ impl Default for ServerConfig {
             retry_after: Duration::from_secs(1),
             coalesce_max_bytes: 1024,
             coalesce_max_batch: 64,
-            max_pending_requests: 1024,
             rate_limit: None,
             allow_shutdown: false,
             debug_endpoints: false,
@@ -203,7 +198,6 @@ struct ServerTelemetry {
     requests_total: Counter,
     bytes_served: Counter,
     rejected_ratelimit: Counter,
-    rejected_overload: Counter,
     rejected_bad_request: Counter,
     underruns: Counter,
     engine_failures: Counter,
@@ -222,7 +216,6 @@ impl ServerTelemetry {
             requests_total: registry.counter("drange_server_requests_total", &[]),
             bytes_served: registry.counter("drange_server_bytes_served_total", &[]),
             rejected_ratelimit: rejected("ratelimit"),
-            rejected_overload: rejected("overload"),
             rejected_bad_request: rejected("bad_request"),
             underruns: registry.counter("drange_server_underruns_total", &[]),
             engine_failures: registry.counter("drange_server_engine_failures_total", &[]),
@@ -317,8 +310,8 @@ impl Server {
     }
 
     /// As [`Server::bind`], additionally attaching a [`FlightRecorder`]:
-    /// every request records a span tree (parse, rate limit, admission,
-    /// fetch, engine wait, write) into the recorder's ring, and —
+    /// every request records a span tree (parse, rate limit, fetch,
+    /// engine wait, write) into the recorder's ring, and —
     /// when [`ServerConfig::debug_endpoints`] is set — `/debug/trace`
     /// and `/debug/slow` export it. The recorder's drop counters
     /// register on `registry` as `drange_trace_*` metrics.
@@ -698,22 +691,6 @@ fn handle_random(shared: &ServerShared, request: &Request, peer_ip: IpAddr) -> R
             .with_header("X-Drange-Source", SourceMode::Fast.as_str().into());
     }
     let degraded = shared.service.is_degraded();
-    let mut admit_span = shared.tracer.span("serve.admission");
-    let pending = shared.service.pending_requests();
-    if admit_span.is_recording() {
-        admit_span.attr_u64("bytes", bytes as u64);
-        admit_span.attr_u64("pending", pending as u64);
-    }
-    if pending >= shared.config.max_pending_requests {
-        admit_span.attr_bool("shed", true);
-        drop(admit_span);
-        tel.rejected_overload.inc();
-        return Response::text(503, "server overloaded\n")
-            .with_header("Retry-After", retry_after_secs)
-            .with_header("X-Drange-Degraded", degraded.to_string());
-    }
-    drop(admit_span);
-
     let response = match shared.coalescer.fetch(&shared.service, bytes) {
         Ok(body) => {
             tel.bytes_served.add(body.len() as u64);
@@ -743,7 +720,7 @@ fn handle_random(shared: &ServerShared, request: &Request, peer_ip: IpAddr) -> R
 }
 
 /// The `fast` tier: a synchronous DRBG generate — no coalescer, no
-/// admission queue, no engine wait. The farm's own shard mutexes are
+/// engine wait. The farm's own shard mutexes are
 /// the only contention point, so this path's throughput is decoupled
 /// from harvest rate (reseeds draw from the pool on their interval,
 /// not per request).

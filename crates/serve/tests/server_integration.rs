@@ -276,7 +276,7 @@ fn pool_exhaustion_returns_503_with_retry_after() {
     assert_eq!(
         service.outstanding_requests(),
         0,
-        "a timed-out fetch must cancel its request id"
+        "a timed-out fetch leaves no request id behind"
     );
     server.shutdown();
 }
@@ -468,8 +468,8 @@ fn debug_endpoints_export_traces_and_request_ids() {
     }
 
     // The Chrome export carries the whole span tree: HTTP edge, the
-    // coalesced fetch, the service wait, and the engine's pool drain
-    // and harvest batches.
+    // coalesced fetch, the combined engine fetch and its pool drain,
+    // and the harvest batches.
     let resp = get(addr, "/debug/trace");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.header("Content-Type"), Some("application/json"));
@@ -478,10 +478,9 @@ fn debug_endpoints_export_traces_and_request_ids() {
     for span in [
         "serve.request",
         "serve.parse",
-        "serve.admission",
         "serve.fetch",
+        "serve.combine",
         "serve.write",
-        "service.wait",
         "engine.pool_drain",
         "engine.batch",
         "engine.harvest",

@@ -1,6 +1,6 @@
 //! Firmware randomness service — the paper's Section 6.3 deployment:
-//! applications file REQUESTs and RECEIVE random bytes from a queue the
-//! memory-controller firmware keeps topped up, with SP 800-90B-style
+//! applications file REQUESTs and RECEIVE random bytes from the queue
+//! the memory-controller firmware keeps topped up, with SP 800-90B-style
 //! online health tests screening the stream.
 //!
 //! ```sh
@@ -34,27 +34,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tls_key = service.request(32)?;
     let dh_nonce = service.request(16)?;
     let session_salt = service.request(8)?;
-    println!("filed 3 requests ({} pending)", service.pending_requests());
-
-    // ...the firmware loop runs when DRAM bandwidth is available...
-    let completed = service.process()?;
-    println!("firmware pass completed {completed} requests");
     println!(
-        "queue holds {} ready bits; health tests discarded {} bits",
-        service.queued_bits(),
-        service.discarded_bits()
+        "filed 3 requests ({} outstanding)",
+        service.outstanding_requests()
     );
 
-    // ...and applications collect their bytes.
+    // ...and collect their bytes from the queue the firmware keeps
+    // topped up whenever DRAM bandwidth is available.
     for (name, id) in [
         ("TLS key", tls_key),
         ("DH nonce", dh_nonce),
         ("salt", session_salt),
     ] {
-        let bytes = service.receive(id).expect("completed");
+        let bytes = service.wait_receive(id)?;
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         println!("{name:<8}: {hex}");
     }
+    println!(
+        "queue holds {} ready bits; health tests discarded {} bits",
+        service.queued_bits(),
+        service.discarded_bits()
+    );
 
     let stats = service.shutdown();
     println!(

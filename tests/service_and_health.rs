@@ -49,12 +49,13 @@ fn service_fulfills_interleaved_requests() {
     let ids: Vec<_> = (1..=5)
         .map(|i| service.request(i * 8).expect("req"))
         .collect();
-    service.process().expect("process");
-    for (i, id) in ids.into_iter().enumerate() {
-        let bytes = service.receive(id).expect("ready");
+    assert_eq!(service.outstanding_requests(), 5);
+    // Collected out of filing order: each id carries its own length.
+    for (i, id) in ids.into_iter().enumerate().rev() {
+        let bytes = service.wait_receive(id).expect("serve");
         assert_eq!(bytes.len(), (i + 1) * 8);
     }
-    assert_eq!(service.pending_requests(), 0);
+    assert_eq!(service.outstanding_requests(), 0);
     assert_eq!(
         service.discarded_bits(),
         0,
@@ -68,8 +69,7 @@ fn service_output_is_statistically_plausible() {
     let trng = DRange::new(ctrl, &catalog, DRangeConfig::default()).expect("plan");
     let service = RandomnessService::new(trng, ServiceConfig::default()).expect("svc");
     let id = service.request(4096).expect("req");
-    service.process().expect("process");
-    let bytes = service.receive(id).expect("ready");
+    let bytes = service.wait_receive(id).expect("serve");
     let ones: u32 = bytes.iter().map(|b| b.count_ones()).sum();
     let n = (bytes.len() * 8) as f64;
     let z = (ones as f64 - n / 2.0) / (n / 4.0).sqrt();
@@ -78,7 +78,7 @@ fn service_output_is_statistically_plausible() {
 
 #[test]
 fn service_serves_concurrent_clients() {
-    // Four client threads file, drive, and collect interleaved requests
+    // Four client threads file and collect interleaved requests
     // against one shared service: every id must resolve exactly once
     // with a buffer of the requested length, and no bytes may leak
     // between clients.
@@ -97,14 +97,17 @@ fn service_serves_concurrent_clients() {
                     let id = service.request(len).expect("req");
                     let bytes = service.wait_receive(id).expect("serve");
                     assert_eq!(bytes.len(), len);
-                    assert!(service.receive(id).is_none(), "an id resolves exactly once");
+                    assert!(
+                        service.wait_receive(id).is_err(),
+                        "an id resolves exactly once"
+                    );
                     total += len;
                 }
                 total
             }));
         }
         let total: usize = clients.into_iter().map(|c| c.join().expect("client")).sum();
-        assert_eq!(service.pending_requests(), 0);
+        assert_eq!(service.outstanding_requests(), 0);
         let stats = service.stats();
         assert_eq!(stats.served_bits, (total * 8) as u64);
     });
