@@ -37,7 +37,7 @@ fn service() -> Arc<RandomnessService> {
         .map(|i| PrngHarvestSource::new(0xD4B6_0000 + i))
         .collect();
     Arc::new(
-        RandomnessService::with_sources(
+        RandomnessService::with_sources_telemetry(
             sources,
             ServiceConfig {
                 queue_capacity: 1 << 21,
@@ -45,6 +45,7 @@ fn service() -> Arc<RandomnessService> {
                 min_entropy: 0.9,
                 ..ServiceConfig::default()
             },
+            None,
         )
         .expect("prng service"),
     )

@@ -41,14 +41,15 @@
 pub mod chacha;
 mod credit;
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use drange_telemetry::{Counter, Histogram, MetricsRegistry, Tracer};
+use drange_telemetry::{Histogram, MetricKind, MetricsRegistry, Span, Stage, Tracer};
 
 use crate::engine::HarvestEngine;
 use crate::error::{DrangeError, Result};
 use crate::health::TripCounts;
-use crate::sync::{deadline_after, Mutex, SequenceCounter};
+use crate::sync::{deadline_after, CounterCell, Mutex, SequenceCounter};
 
 pub use credit::CreditLedger;
 
@@ -160,17 +161,8 @@ struct ShardState {
     /// Whether the shard has ever absorbed a successful seed. An
     /// uninstantiated shard refuses to generate.
     instantiated: bool,
-    /// Total generates served.
-    generates: u64,
     /// Generates since the last successful reseed.
     since_reseed: u64,
-    /// Successful reseeds (including the instantiation).
-    reseeds: u64,
-    /// Reseeds refused because trip counts moved.
-    blocked_health: u64,
-    /// Reseeds that timed out on the pool (or hit a source error on a
-    /// best-effort attempt).
-    blocked_starved: u64,
     /// Entropy-credit ledger for this shard.
     credit: CreditLedger,
     /// Total trip count observed at the last reseed decision; `None`
@@ -184,9 +176,7 @@ impl std::fmt::Debug for ShardState {
         // `RandomnessService`'s Debug output.
         f.debug_struct("ShardState")
             .field("instantiated", &self.instantiated)
-            .field("generates", &self.generates)
             .field("since_reseed", &self.since_reseed)
-            .field("reseeds", &self.reseeds)
             .field("credit", &self.credit)
             .finish_non_exhaustive()
     }
@@ -197,11 +187,7 @@ impl ShardState {
         ShardState {
             key: [0u8; 32],
             instantiated: false,
-            generates: 0,
             since_reseed: 0,
-            reseeds: 0,
-            blocked_health: 0,
-            blocked_starved: 0,
             credit: CreditLedger::new(),
             last_trips: None,
         }
@@ -220,34 +206,39 @@ impl ShardState {
     }
 }
 
-/// Telemetry handles for the farm (no-ops without a registry).
-#[derive(Debug, Clone, Default)]
-struct DrbgTelemetry {
-    generates: Counter,
-    output_bytes: Counter,
-    reseeds: Counter,
-    blocked_health: Counter,
-    blocked_starved: Counter,
-    entropy_credits: Counter,
-    generate_ns: Histogram,
+/// The farm's event counts: one cell each, bumped under the shard lock
+/// of the event, read by [`DrbgFarm::stats`] and exported as is by the
+/// registry the farm was built with.
+#[derive(Debug, Default)]
+struct DrbgCounters {
+    generates: CounterCell,
+    output_bytes: CounterCell,
+    reseeds: CounterCell,
+    blocked_health: CounterCell,
+    blocked_starved: CounterCell,
+    entropy_credits: CounterCell,
 }
 
-impl DrbgTelemetry {
-    fn new(registry: Option<&MetricsRegistry>) -> Self {
-        let Some(reg) = registry else {
-            return DrbgTelemetry::default();
+impl DrbgCounters {
+    /// Exports the cells as the `drange_drbg_*` series.
+    fn export(self: &Arc<Self>, reg: &MetricsRegistry) {
+        let counter = |name: &str, labels: &[(&str, &str)], reader: fn(&DrbgCounters) -> u64| {
+            let cells = Arc::clone(self);
+            reg.export(MetricKind::Counter, name, labels, move || reader(&cells));
         };
-        let blocked =
-            |cause: &str| reg.counter("drange_drbg_reseeds_blocked_total", &[("cause", cause)]);
-        DrbgTelemetry {
-            generates: reg.counter("drange_drbg_generates_total", &[]),
-            output_bytes: reg.counter("drange_drbg_output_bytes_total", &[]),
-            reseeds: reg.counter("drange_drbg_reseeds_total", &[]),
-            blocked_health: blocked("health"),
-            blocked_starved: blocked("starved"),
-            entropy_credits: reg.counter("drange_drbg_entropy_credits_total", &[]),
-            generate_ns: reg.histogram("drange_drbg_generate_latency_ns", &[]),
-        }
+        counter("drange_drbg_generates_total", &[], |c| c.generates.get());
+        counter("drange_drbg_output_bytes_total", &[], |c| {
+            c.output_bytes.get()
+        });
+        counter("drange_drbg_reseeds_total", &[], |c| c.reseeds.get());
+        let blocked = "drange_drbg_reseeds_blocked_total";
+        counter(blocked, &[("cause", "health")], |c| c.blocked_health.get());
+        counter(blocked, &[("cause", "starved")], |c| {
+            c.blocked_starved.get()
+        });
+        counter("drange_drbg_entropy_credits_total", &[], |c| {
+            c.entropy_credits.get()
+        });
     }
 }
 
@@ -294,14 +285,16 @@ pub struct DrbgFarm {
     shards: Vec<Mutex<ShardState>>,
     cursor: SequenceCounter,
     config: DrbgConfig,
-    telemetry: DrbgTelemetry,
+    counters: Arc<DrbgCounters>,
+    generate_ns: Histogram,
     tracer: Tracer,
 }
 
 impl DrbgFarm {
     /// Builds a farm with `config`, resolving `shards == 0` to
-    /// `shard_hint` (the engine's worker count). Registers the
-    /// `drange_drbg_*` metric series when a registry is given.
+    /// `shard_hint` (the engine's worker count). With a registry the
+    /// farm exports its `drange_drbg_*` series there, times generates
+    /// into its latency histogram, and traces through its tracer.
     ///
     /// # Errors
     ///
@@ -311,7 +304,6 @@ impl DrbgFarm {
         config: DrbgConfig,
         shard_hint: usize,
         registry: Option<&MetricsRegistry>,
-        tracer: Tracer,
     ) -> Result<Self> {
         config.validate()?;
         let count = if config.shards == 0 {
@@ -319,12 +311,19 @@ impl DrbgFarm {
         } else {
             config.shards
         };
+        let counters = Arc::new(DrbgCounters::default());
+        if let Some(reg) = registry {
+            counters.export(reg);
+        }
         Ok(DrbgFarm {
             shards: (0..count).map(|_| Mutex::new(ShardState::new())).collect(),
             cursor: SequenceCounter::new(),
             config,
-            telemetry: DrbgTelemetry::new(registry),
-            tracer,
+            counters,
+            generate_ns: registry.map_or_else(Histogram::noop, |reg| {
+                reg.histogram("drange_drbg_generate_latency_ns", &[])
+            }),
+            tracer: registry.map_or_else(Tracer::noop, MetricsRegistry::tracer),
         })
     }
 
@@ -386,43 +385,38 @@ impl DrbgFarm {
                 self.config.max_generate_bytes
             )));
         }
-        let mut span = self.tracer.span("drbg.generate");
-        let t0 = self.telemetry.generate_ns.start();
+        let mut stage = Stage::start("drbg.generate", &self.generate_ns, &self.tracer);
+        let span = stage.span();
         let index = (self.cursor.next() as usize) % self.shards.len();
         if span.is_recording() {
             span.attr_u64("bytes", bytes as u64);
             span.attr_u64("shard", index as u64);
             span.attr_bool("prediction_resistance", prediction_resistance);
         }
-        let out = {
-            // Indexing is in bounds by the modulo above; the lint-safe
-            // spelling avoids a panic site regardless.
-            let Some(shard) = self.shards.get(index) else {
-                return Err(DrangeError::Engine("drbg farm has no shards".into()));
-            };
-            let mut state = shard.lock();
-            let must_reseed = !state.instantiated || prediction_resistance;
-            if must_reseed || state.since_reseed >= self.config.reseed_interval {
-                self.reseed_shard(&mut state, source, must_reseed, &mut span)?;
-            }
-            // Fast key erasure: one keystream covers the next key and
-            // the caller's output; the old key is gone before the
-            // output leaves the shard.
-            let mut keystream = vec![0u8; 32 + bytes];
-            chacha::keystream(&state.key, 0, &ZERO_NONCE, &mut keystream);
-            state.key.copy_from_slice(&keystream[..32]);
-            state.generates += 1;
-            state.since_reseed += 1;
-            let covered = state.credit.spend(bytes as u64 * 8);
-            if span.is_recording() {
-                span.attr_u64("credit_covered_bits", covered);
-            }
-            keystream.split_off(32)
+        // Indexing is in bounds by the modulo above; the lint-safe
+        // spelling avoids a panic site regardless.
+        let Some(shard) = self.shards.get(index) else {
+            return Err(DrangeError::Engine("drbg farm has no shards".into()));
         };
-        self.telemetry.generates.inc();
-        self.telemetry.output_bytes.add(bytes as u64);
-        self.telemetry.generate_ns.observe_since(t0);
-        Ok(out)
+        let mut state = shard.lock();
+        let must_reseed = !state.instantiated || prediction_resistance;
+        if must_reseed || state.since_reseed >= self.config.reseed_interval {
+            self.reseed_shard(&mut state, source, must_reseed, span)?;
+        }
+        // Fast key erasure: one keystream covers the next key and the
+        // caller's output; the old key is gone before the output
+        // leaves the shard.
+        let mut keystream = vec![0u8; 32 + bytes];
+        chacha::keystream(&state.key, 0, &ZERO_NONCE, &mut keystream);
+        state.key.copy_from_slice(&keystream[..32]);
+        state.since_reseed += 1;
+        self.counters.generates.add(1);
+        self.counters.output_bytes.add(bytes as u64);
+        let covered = state.credit.spend(bytes as u64 * 8);
+        if span.is_recording() {
+            span.attr_u64("credit_covered_bits", covered);
+        }
+        Ok(keystream.split_off(32))
     }
 
     /// One reseed decision for a locked shard. When `required` is
@@ -434,7 +428,7 @@ impl DrbgFarm {
         state: &mut ShardState,
         source: &impl SeedSource,
         required: bool,
-        parent: &mut drange_telemetry::Span,
+        parent: &mut Span,
     ) -> Result<()> {
         let mut span = self.tracer.span("drbg.reseed");
         span.attr_bool("required", required);
@@ -445,8 +439,7 @@ impl DrbgFarm {
                 // trips: refuse this reseed. The baseline advances, so
                 // a later quiet interval unblocks automatically.
                 state.last_trips = Some(trips);
-                state.blocked_health += 1;
-                self.telemetry.blocked_health.inc();
+                self.counters.blocked_health.add(1);
                 span.attr_bool("blocked_health", true);
                 parent.event("drbg.reseed_blocked");
                 return if required {
@@ -469,15 +462,13 @@ impl DrbgFarm {
                 state.credit.credit(bits);
                 state.since_reseed = 0;
                 state.instantiated = true;
-                state.reseeds += 1;
-                self.telemetry.reseeds.inc();
-                self.telemetry.entropy_credits.add(bits);
+                self.counters.reseeds.add(1);
+                self.counters.entropy_credits.add(bits);
                 span.attr_u64("credited_bits", bits);
                 Ok(())
             }
             Ok(None) => {
-                state.blocked_starved += 1;
-                self.telemetry.blocked_starved.inc();
+                self.counters.blocked_starved.add(1);
                 span.attr_bool("starved", true);
                 if required {
                     Err(DrangeError::Engine(format!(
@@ -489,8 +480,7 @@ impl DrbgFarm {
                 }
             }
             Err(e) => {
-                state.blocked_starved += 1;
-                self.telemetry.blocked_starved.inc();
+                self.counters.blocked_starved.add(1);
                 span.attr_bool("starved", true);
                 if required {
                     Err(e)
@@ -502,22 +492,29 @@ impl DrbgFarm {
     }
 
     /// Aggregated statistics across all shards.
+    ///
+    /// Spent entropy is summed under the shard locks *before* the credit
+    /// cell is read, and credit is added under the shard lock before it
+    /// covers a spend, so a snapshot never shows spent above credited.
     pub fn stats(&self) -> DrbgStats {
-        let mut out = DrbgStats {
-            shards: self.shards.len(),
-            ..DrbgStats::default()
-        };
+        let mut instantiated = 0;
+        let mut entropy_spent_bits = 0;
         for shard in &self.shards {
             let s = shard.lock();
-            out.instantiated += usize::from(s.instantiated);
-            out.generates += s.generates;
-            out.reseeds += s.reseeds;
-            out.reseeds_blocked_health += s.blocked_health;
-            out.reseeds_blocked_starved += s.blocked_starved;
-            out.entropy_credited_bits += s.credit.total_credited();
-            out.entropy_spent_bits += s.credit.total_spent();
+            instantiated += usize::from(s.instantiated);
+            entropy_spent_bits += s.credit.total_spent();
         }
-        out
+        let c = &self.counters;
+        DrbgStats {
+            shards: self.shards.len(),
+            instantiated,
+            generates: c.generates.get(),
+            reseeds: c.reseeds.get(),
+            reseeds_blocked_health: c.blocked_health.get(),
+            reseeds_blocked_starved: c.blocked_starved.get(),
+            entropy_credited_bits: c.entropy_credits.get(),
+            entropy_spent_bits,
+        }
     }
 }
 
@@ -575,7 +572,6 @@ mod tests {
             },
             1,
             None,
-            Tracer::noop(),
         )
         .unwrap()
     }
@@ -600,10 +596,7 @@ mod tests {
                 ..DrbgConfig::default()
             },
         ] {
-            assert!(
-                DrbgFarm::new(bad, 1, None, Tracer::noop()).is_err(),
-                "{bad:?}"
-            );
+            assert!(DrbgFarm::new(bad, 1, None).is_err(), "{bad:?}");
         }
     }
 
@@ -611,7 +604,7 @@ mod tests {
     fn shard_count_resolves_from_hint() {
         assert_eq!(farm(0, 16).shards(), 1);
         assert_eq!(farm(3, 16).shards(), 3);
-        let hinted = DrbgFarm::new(DrbgConfig::default(), 5, None, Tracer::noop()).unwrap();
+        let hinted = DrbgFarm::new(DrbgConfig::default(), 5, None).unwrap();
         assert_eq!(hinted.shards(), 5);
     }
 
@@ -737,7 +730,7 @@ mod tests {
     #[test]
     fn telemetry_registers_drbg_series() {
         let registry = MetricsRegistry::new();
-        let f = DrbgFarm::new(DrbgConfig::default(), 1, Some(&registry), Tracer::noop()).unwrap();
+        let f = DrbgFarm::new(DrbgConfig::default(), 1, Some(&registry)).unwrap();
         let src = ScriptedSeed::new();
         f.generate(&src, 64).unwrap();
         let text = registry.render_prometheus();
@@ -758,7 +751,8 @@ mod tests {
     fn spans_record_generate_and_reseed() {
         use drange_telemetry::{FlightRecorder, RecorderConfig};
         let recorder = FlightRecorder::with_config(RecorderConfig::default());
-        let f = DrbgFarm::new(DrbgConfig::default(), 1, None, recorder.tracer()).unwrap();
+        let registry = MetricsRegistry::with_recorder(recorder.clone());
+        let f = DrbgFarm::new(DrbgConfig::default(), 1, Some(&registry)).unwrap();
         let src = ScriptedSeed::new();
         f.generate(&src, 32).unwrap();
         let records = recorder.records();

@@ -60,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dram_sim::{DeviceConfig, FaultStats, SenseCacheStats};
-use drange_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, TraceId, Tracer};
+use drange_telemetry::{Gauge, Histogram, MetricKind, MetricsRegistry, Stage, TraceId, Tracer};
 use memctrl::MemoryController;
 
 use crate::bits::{BitBlock, BitQueue};
@@ -208,13 +208,13 @@ impl EngineConfig {
     }
 }
 
-/// Counters one worker thread maintains (shared lock-free cells — see
-/// [`crate::sync`] — so stats snapshots never block harvesting).
+/// Counters one worker thread maintains: shared lock-free cells (see
+/// [`crate::sync`]) that harvesting bumps, stats snapshots read without
+/// blocking, and a registry, when the engine has one, exports as is.
 #[derive(Debug, Default)]
 struct WorkerCounters {
     harvested_bits: CounterCell,
     discarded_bits: CounterCell,
-    health_trips: CounterCell,
     repetition_trips: CounterCell,
     adaptive_trips: CounterCell,
     batches: CounterCell,
@@ -233,136 +233,126 @@ struct WorkerCounters {
     faults: Mutex<Option<FaultStats>>,
 }
 
-/// Telemetry handles one worker thread records into. All handles are
-/// no-ops (and the stage timers never read the clock) when the engine
-/// was spawned without a registry.
-#[derive(Debug, Clone, Default)]
-struct WorkerTelemetry {
-    harvest_ns: Histogram,
-    health_ns: Histogram,
-    publish_ns: Histogram,
-    pool_bits: Gauge,
-    harvested_bits: Counter,
-    discarded_bits: Counter,
-    batches: Counter,
-    repetition_trips: Counter,
-    adaptive_trips: Counter,
-    throughput_bps: Gauge,
-    cache_skip_reads: Counter,
-    cache_hit_reads: Counter,
-    cache_resolve_reads: Counter,
-    lifecycle_live: Gauge,
-    lifecycle_quarantined: Gauge,
-    lifecycle_retired: Gauge,
-    degraded: Gauge,
-    quarantine_events: Counter,
-    reinstated_cells: Counter,
-    promoted_words: Counter,
-    recharacterizations: Counter,
-    fault_temperature: Counter,
-    fault_noise: Counter,
-    fault_aging: Counter,
-    fault_stuck: Counter,
-}
+impl WorkerCounters {
+    fn lifecycle(&self) -> LifecycleStats {
+        self.lifecycle.lock().unwrap_or_default()
+    }
 
-impl WorkerTelemetry {
-    fn new(registry: Option<&MetricsRegistry>, worker: usize) -> Self {
-        let Some(reg) = registry else {
-            return WorkerTelemetry::default();
-        };
-        let w = worker.to_string();
-        let stage = |stage: &str| {
-            reg.histogram(
-                "drange_stage_latency_ns",
-                &[("stage", stage), ("worker", &w)],
-            )
-        };
-        WorkerTelemetry {
-            harvest_ns: stage("harvest"),
-            health_ns: stage("health"),
-            publish_ns: stage("publish"),
-            pool_bits: reg.gauge("drange_pool_bits", &[]),
-            harvested_bits: reg.counter("drange_worker_harvested_bits_total", &[("worker", &w)]),
-            discarded_bits: reg.counter("drange_worker_discarded_bits_total", &[("worker", &w)]),
-            batches: reg.counter("drange_worker_batches_total", &[("worker", &w)]),
-            repetition_trips: reg.counter(
-                "drange_health_trips_total",
-                &[("test", "repetition"), ("worker", &w)],
-            ),
-            adaptive_trips: reg.counter(
-                "drange_health_trips_total",
-                &[("test", "adaptive"), ("worker", &w)],
-            ),
-            throughput_bps: reg.gauge("drange_worker_throughput_bps", &[("worker", &w)]),
-            cache_skip_reads: reg.counter(
-                "drange_cache_reads_total",
-                &[("kind", "skip"), ("worker", &w)],
-            ),
-            cache_hit_reads: reg.counter(
-                "drange_cache_reads_total",
-                &[("kind", "hit"), ("worker", &w)],
-            ),
-            cache_resolve_reads: reg.counter(
-                "drange_cache_reads_total",
-                &[("kind", "resolve"), ("worker", &w)],
-            ),
-            lifecycle_live: reg.gauge(
-                "drange_lifecycle_cells",
-                &[("state", "live"), ("worker", &w)],
-            ),
-            lifecycle_quarantined: reg.gauge(
-                "drange_lifecycle_cells",
-                &[("state", "quarantined"), ("worker", &w)],
-            ),
-            lifecycle_retired: reg.gauge(
-                "drange_lifecycle_cells",
-                &[("state", "retired"), ("worker", &w)],
-            ),
-            degraded: reg.gauge("drange_degraded", &[("worker", &w)]),
-            quarantine_events: reg.counter(
-                "drange_lifecycle_events_total",
-                &[("event", "quarantine"), ("worker", &w)],
-            ),
-            reinstated_cells: reg.counter(
-                "drange_lifecycle_events_total",
-                &[("event", "reinstate"), ("worker", &w)],
-            ),
-            promoted_words: reg.counter(
-                "drange_lifecycle_events_total",
-                &[("event", "promote"), ("worker", &w)],
-            ),
-            recharacterizations: reg.counter(
-                "drange_lifecycle_events_total",
-                &[("event", "recharacterize"), ("worker", &w)],
-            ),
-            fault_temperature: reg.counter(
-                "drange_injected_faults_total",
-                &[("kind", "temperature"), ("worker", &w)],
-            ),
-            fault_noise: reg.counter(
-                "drange_injected_faults_total",
-                &[("kind", "noise"), ("worker", &w)],
-            ),
-            fault_aging: reg.counter(
-                "drange_injected_faults_total",
-                &[("kind", "aging"), ("worker", &w)],
-            ),
-            fault_stuck: reg.counter(
-                "drange_injected_faults_total",
-                &[("kind", "stuck"), ("worker", &w)],
-            ),
+    fn faults(&self) -> FaultStats {
+        self.faults.lock().unwrap_or_default()
+    }
+
+    /// A point-in-time copy of the cells.
+    fn snapshot(&self, worker: usize) -> WorkerStats {
+        let repetition_trips = self.repetition_trips.get();
+        let adaptive_trips = self.adaptive_trips.get();
+        WorkerStats {
+            worker,
+            harvested_bits: self.harvested_bits.get(),
+            discarded_bits: self.discarded_bits.get(),
+            health_trips: repetition_trips + adaptive_trips,
+            repetition_trips,
+            adaptive_trips,
+            batches: self.batches.get(),
+            device_time_ps: self.device_time_ps.get(),
+            cache_skip_reads: self.cache_skip_reads.get(),
+            cache_hit_reads: self.cache_hit_reads.get(),
+            cache_resolve_reads: self.cache_resolve_reads.get(),
+            cache_bulk_cells: self.cache_bulk_cells.get(),
+            cache_bulk_lane_cells: self.cache_bulk_lane_cells.get(),
+            lifecycle: *self.lifecycle.lock(),
+            faults: *self.faults.lock(),
         }
+    }
+
+    /// Exports the cells and snapshots on `reg` under the `worker`
+    /// label: the registry reads them at export time, so `stats()` and
+    /// `/metrics` cannot disagree.
+    fn export(self: &Arc<Self>, reg: &MetricsRegistry, worker: &str) {
+        let export = |kind, name: &str, label: &[(&str, &str)], reader: Reader| {
+            let labels: Vec<_> = label.iter().copied().chain([("worker", worker)]).collect();
+            let cells = Arc::clone(self);
+            reg.export(kind, name, &labels, move || reader(&cells));
+        };
+        let counter = |name, label, reader| export(MetricKind::Counter, name, label, reader);
+        let gauge = |name, label, reader| export(MetricKind::Gauge, name, label, reader);
+        counter("drange_worker_harvested_bits_total", &[], |c| {
+            c.harvested_bits.get()
+        });
+        counter("drange_worker_discarded_bits_total", &[], |c| {
+            c.discarded_bits.get()
+        });
+        counter("drange_worker_batches_total", &[], |c| c.batches.get());
+        let trips = "drange_health_trips_total";
+        counter(trips, &[("test", "repetition")], |c| {
+            c.repetition_trips.get()
+        });
+        counter(trips, &[("test", "adaptive")], |c| c.adaptive_trips.get());
+        let reads = "drange_cache_reads_total";
+        counter(reads, &[("kind", "skip")], |c| c.cache_skip_reads.get());
+        counter(reads, &[("kind", "hit")], |c| c.cache_hit_reads.get());
+        counter(reads, &[("kind", "resolve")], |c| {
+            c.cache_resolve_reads.get()
+        });
+        gauge("drange_worker_throughput_bps", &[], |c| {
+            bits_per_second(c.harvested_bits.get(), c.device_time_ps.get()) as u64
+        });
+        let cells = "drange_lifecycle_cells";
+        gauge(cells, &[("state", "live")], |c| c.lifecycle().live_cells);
+        gauge(cells, &[("state", "quarantined")], |c| {
+            c.lifecycle().quarantined_cells
+        });
+        gauge(cells, &[("state", "retired")], |c| {
+            c.lifecycle().retired_cells
+        });
+        gauge("drange_degraded", &[], |c| {
+            u64::from(c.lifecycle().degraded)
+        });
+        let events = "drange_lifecycle_events_total";
+        counter(events, &[("event", "quarantine")], |c| {
+            c.lifecycle().quarantine_events
+        });
+        counter(events, &[("event", "reinstate")], |c| {
+            c.lifecycle().reinstated_cells
+        });
+        counter(events, &[("event", "promote")], |c| {
+            c.lifecycle().promoted_words
+        });
+        counter(events, &[("event", "recharacterize")], |c| {
+            c.lifecycle().recharacterizations
+        });
+        let faults = "drange_injected_faults_total";
+        counter(faults, &[("kind", "temperature")], |c| {
+            c.faults().temperature_events
+        });
+        counter(faults, &[("kind", "noise")], |c| {
+            c.faults().noise_bias_events
+        });
+        counter(faults, &[("kind", "aging")], |c| c.faults().cells_aged);
+        counter(faults, &[("kind", "stuck")], |c| c.faults().cells_stuck);
     }
 }
 
-/// Client-side telemetry handles held by the engine itself.
+/// Reads one exported quantity from a worker's cells.
+type Reader = fn(&WorkerCounters) -> u64;
+
+/// The stage histograms one worker times its batches into. They are
+/// registry-created, so without a registry they are no-ops and the
+/// stage guards read no clock.
+#[derive(Debug, Default)]
+struct StageHistograms {
+    harvest: Histogram,
+    health: Histogram,
+    publish: Histogram,
+}
+
+/// Client-side telemetry handles held by the engine itself (no-ops
+/// without a registry).
 #[derive(Debug, Clone, Default)]
 struct EngineTelemetry {
     take_bits_ns: Histogram,
     pool_wait_ns: Histogram,
-    pool_bits: Gauge,
     pool_waiters: Gauge,
-    served_bits: Counter,
 }
 
 impl EngineTelemetry {
@@ -373,10 +363,22 @@ impl EngineTelemetry {
         EngineTelemetry {
             take_bits_ns: reg.histogram("drange_take_bits_latency_ns", &[]),
             pool_wait_ns: reg.histogram("drange_pool_wait_ns", &[]),
-            pool_bits: reg.gauge("drange_pool_bits", &[]),
             pool_waiters: reg.gauge("drange_pool_waiters", &[]),
-            served_bits: reg.counter("drange_served_bits_total", &[]),
         }
+    }
+}
+
+/// Bits per second of device time (0.0 without device time).
+fn bits_per_second(bits: u64, device_time_ps: u64) -> f64 {
+    ratio(bits, device_time_ps) * 1e12
+}
+
+/// `part / whole`, 0.0 when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -472,34 +474,21 @@ impl WorkerStats {
     /// Harvest throughput of this channel in bits per second of
     /// *device* time (0.0 when the source reports no device time).
     pub fn throughput_bps(&self) -> f64 {
-        if self.device_time_ps == 0 {
-            0.0
-        } else {
-            self.harvested_bits as f64 / (self.device_time_ps as f64 * 1e-12)
-        }
+        bits_per_second(self.harvested_bits, self.device_time_ps)
     }
 
     /// Fraction of this channel's sensing READs answered from memoized
     /// cache state (0.0 when the source reports no cache activity).
     pub fn cache_hit_rate(&self) -> f64 {
         let hits = self.cache_skip_reads + self.cache_hit_reads;
-        let total = hits + self.cache_resolve_reads;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        ratio(hits, hits + self.cache_resolve_reads)
     }
 
     /// Fraction of this channel's bulk-resolved cells that went through
     /// full vector lanes rather than the scalar remainder loop (0.0
     /// with no bulk activity).
     pub fn lane_utilization(&self) -> f64 {
-        if self.cache_bulk_cells == 0 {
-            0.0
-        } else {
-            self.cache_bulk_lane_cells as f64 / self.cache_bulk_cells as f64
-        }
+        ratio(self.cache_bulk_lane_cells, self.cache_bulk_cells)
     }
 }
 
@@ -550,22 +539,13 @@ impl EngineStats {
     /// memoized cache state (0.0 with no cache activity).
     pub fn cache_hit_rate(&self) -> f64 {
         let hits = self.cache_skip_reads + self.cache_hit_reads;
-        let total = hits + self.cache_resolve_reads;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        ratio(hits, hits + self.cache_resolve_reads)
     }
 
     /// Fraction of bulk-resolved cells across all workers that went
     /// through full vector lanes (0.0 with no bulk activity).
     pub fn lane_utilization(&self) -> f64 {
-        if self.cache_bulk_cells == 0 {
-            0.0
-        } else {
-            self.cache_bulk_lane_cells as f64 / self.cache_bulk_cells as f64
-        }
+        ratio(self.cache_bulk_lane_cells, self.cache_bulk_cells)
     }
 
     /// Sum of the per-channel device-time throughputs — the engine
@@ -599,54 +579,31 @@ pub struct HarvestEngine {
     counters: Vec<Arc<WorkerCounters>>,
     telemetry: EngineTelemetry,
     tracer: Tracer,
+    registry: Option<MetricsRegistry>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl HarvestEngine {
-    /// Spawns one worker thread per source, without telemetry
-    /// (instrumentation runs in no-op mode).
+    /// Spawns one worker thread per source.
+    ///
+    /// With a `registry` the engine exports its counters there (see
+    /// the `DESIGN.md` Observability section for the series), times its
+    /// stages into registry histograms, and traces through the
+    /// registry's tracer (`engine.batch` with `harvest`/`health`/
+    /// `publish` children on each worker, `engine.pool_drain` on client
+    /// threads) when the registry carries a flight recorder. Without
+    /// one it still counts for [`HarvestEngine::stats`], but exports
+    /// nothing and reads no clock.
     ///
     /// # Errors
     ///
     /// Returns [`DrangeError::InvalidSpec`] for an empty source list or
     /// inconsistent watermarks, and [`DrangeError::Engine`] when the OS
     /// refuses to spawn a thread.
-    pub fn spawn<S: HarvestSource>(sources: Vec<S>, config: EngineConfig) -> Result<Self> {
-        Self::spawn_with_telemetry(sources, config, None)
-    }
-
-    /// As [`HarvestEngine::spawn`], additionally registering the
-    /// engine's metrics (per-stage latency histograms, per-worker
-    /// counters, pool gauges, per-test health-trip counters) in
-    /// `registry` when one is given. See the `DESIGN.md` Observability
-    /// section for the metric names.
-    ///
-    /// # Errors
-    ///
-    /// As [`HarvestEngine::spawn`].
-    pub fn spawn_with_telemetry<S: HarvestSource>(
+    pub fn spawn<S: HarvestSource>(
         sources: Vec<S>,
         config: EngineConfig,
         registry: Option<&MetricsRegistry>,
-    ) -> Result<Self> {
-        Self::spawn_traced(sources, config, registry, Tracer::noop())
-    }
-
-    /// As [`HarvestEngine::spawn_with_telemetry`], additionally
-    /// recording per-batch trace spans (`engine.batch` with `harvest`/
-    /// `health`/`publish` children on each worker, `engine.pool_drain`
-    /// on client threads) through `tracer`. A noop tracer (the other
-    /// constructors) keeps every span inert — no clock reads on the
-    /// harvest hot path.
-    ///
-    /// # Errors
-    ///
-    /// As [`HarvestEngine::spawn`].
-    pub fn spawn_traced<S: HarvestSource>(
-        sources: Vec<S>,
-        config: EngineConfig,
-        registry: Option<&MetricsRegistry>,
-        tracer: Tracer,
     ) -> Result<Self> {
         config.validate()?;
         if sources.is_empty() {
@@ -654,6 +611,7 @@ impl HarvestEngine {
                 "the engine needs at least one harvest source".into(),
             ));
         }
+        let tracer = registry.map_or_else(Tracer::noop, MetricsRegistry::tracer);
         let shared = Arc::new(Shared {
             pool: Mutex::new(Pool {
                 bits: BitQueue::new(),
@@ -669,12 +627,39 @@ impl HarvestEngine {
             served_bits: CounterCell::new(),
             first_error: Mutex::new(None),
         });
+        if let Some(reg) = registry {
+            let cells = Arc::clone(&shared);
+            reg.export(
+                MetricKind::Counter,
+                "drange_served_bits_total",
+                &[],
+                move || cells.served_bits.get(),
+            );
+            let cells = Arc::clone(&shared);
+            reg.export(MetricKind::Gauge, "drange_pool_bits", &[], move || {
+                cells.pool.lock().bits.len() as u64
+            });
+        }
         let mut counters = Vec::with_capacity(sources.len());
         let mut workers = Vec::with_capacity(sources.len());
         for (index, source) in sources.into_iter().enumerate() {
             let ctr = Arc::new(WorkerCounters::default());
+            let worker = index.to_string();
+            if let Some(reg) = registry {
+                ctr.export(reg, &worker);
+            }
             counters.push(Arc::clone(&ctr));
-            let tel = WorkerTelemetry::new(registry, index);
+            let stage = |stage: &str| {
+                registry.map_or_else(Histogram::noop, |reg| {
+                    let labels = [("stage", stage), ("worker", worker.as_str())];
+                    reg.histogram("drange_stage_latency_ns", &labels)
+                })
+            };
+            let stages = StageHistograms {
+                harvest: stage("harvest"),
+                health: stage("health"),
+                publish: stage("publish"),
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("drange-worker-{index}"))
                 .spawn({
@@ -688,7 +673,7 @@ impl HarvestEngine {
                             source,
                             &shared,
                             &ctr,
-                            &tel,
+                            &stages,
                             &tracer,
                             min_entropy,
                             max_rejects,
@@ -704,8 +689,14 @@ impl HarvestEngine {
             counters,
             telemetry: EngineTelemetry::new(registry),
             tracer,
+            registry: registry.cloned(),
             workers,
         })
+    }
+
+    /// The registry the engine exports into, if it was given one.
+    pub fn registry(&self) -> Option<&MetricsRegistry> {
+        self.registry.as_ref()
     }
 
     /// The engine configuration.
@@ -759,9 +750,7 @@ impl HarvestEngine {
     /// building the snapshot. Always `false` for engines without a cell
     /// lifecycle.
     pub fn is_degraded(&self) -> bool {
-        self.counters
-            .iter()
-            .any(|c| c.lifecycle.lock().is_some_and(|l| l.degraded))
+        self.lifecycle().is_some_and(|l| l.degraded)
     }
 
     /// The first error any worker recorded, if one has.
@@ -781,19 +770,14 @@ impl HarvestEngine {
     /// retired, and [`DrangeError::Engine`] when the engine stops
     /// before the request can be served.
     pub fn take_bits(&self, bits: usize) -> Result<Vec<bool>> {
-        let t0 = self.telemetry.take_bits_ns.start();
-        let out = self.drain_pool(bits, None, |pool| pool.pop_bools(bits));
-        self.telemetry.take_bits_ns.observe_since(t0);
-        if out.is_ok() {
-            self.telemetry.served_bits.add(bits as u64);
-        }
-        untimed(out)
+        untimed(self.drain_pool(bits, None, |pool| pool.pop_bools(bits)))
     }
 
     /// Blocks until `bits` bits are pooled, then removes them with
     /// `drain` under the pool lock; `Ok(None)` when `deadline` passes
     /// first. All client-facing accessors funnel through here so the
-    /// waiting/demand/accounting protocol exists exactly once.
+    /// waiting/demand/accounting protocol, the served-bit count and the
+    /// drain's latency histogram and span exist exactly once.
     ///
     /// The wait is notification-driven: workers notify
     /// `bits_available` after every publish, and every terminal
@@ -812,11 +796,15 @@ impl HarvestEngine {
                 self.config.queue_capacity
             )));
         }
-        // Inert (no clock read) unless a recorder is attached; with one
-        // attached it nests under the calling request's trace and its
-        // duration is the request's pool-wait share.
-        let mut drain_span = self.tracer.span("engine.pool_drain");
-        drain_span.attr_u64("bits", bits as u64);
+        // With a recorder attached the span nests under the calling
+        // request's trace and its duration is the request's pool-wait
+        // share; without a registry the stage reads no clock.
+        let mut stage = Stage::start(
+            "engine.pool_drain",
+            &self.telemetry.take_bits_ns,
+            &self.tracer,
+        );
+        stage.span().attr_u64("bits", bits as u64);
         let mut pool = self.shared.pool.lock();
         // `wait_t0` stays None until (unless) the request actually has
         // to block, so the fast path never reads the clock.
@@ -835,12 +823,12 @@ impl HarvestEngine {
             if expired {
                 // The deadline passed and the re-check above still came
                 // up short.
-                drain_span.attr_bool("timed_out", true);
+                stage.span().attr_bool("timed_out", true);
                 break Ok(None);
             }
             if !waiting {
                 waiting = true;
-                drain_span.event("blocked");
+                stage.span().event("blocked");
                 // Publish the unmet request so workers bypass the gate
                 // until it is served. The demand lives under the pool
                 // mutex, where the workers' gate check reads it, so
@@ -873,7 +861,6 @@ impl HarvestEngine {
                 self.shared.demand_trace.set(0);
             }
         }
-        let remaining = pool.bits.len();
         drop(pool);
         if waiting {
             self.telemetry.pool_waiters.sub(1);
@@ -881,7 +868,6 @@ impl HarvestEngine {
         }
         match outcome {
             Ok(Some(out)) => {
-                self.telemetry.pool_bits.set(remaining as u64);
                 self.shared.served_bits.add(bits as u64);
                 self.shared.space_available.notify_all();
                 Ok(Some(out))
@@ -920,11 +906,10 @@ impl HarvestEngine {
         let bits = bytes.checked_mul(8).ok_or_else(|| {
             DrangeError::InvalidSpec(format!("request of {bytes} bytes overflows bit count"))
         })?;
-        let t0 = self.telemetry.take_bits_ns.start();
         // Drain straight from the packed pool: whole words big-endian
         // while at least 8 bytes remain, then byte-sized pops — the
         // same MSB-first packing `take_bits` + manual packing produced.
-        let out = self.drain_pool(bits, deadline, |pool| {
+        self.drain_pool(bits, deadline, |pool| {
             let mut out = Vec::with_capacity(bytes);
             while out.len() + 8 <= bytes {
                 match pool.pop_word() {
@@ -939,12 +924,7 @@ impl HarvestEngine {
                 }
             }
             out
-        });
-        self.telemetry.take_bits_ns.observe_since(t0);
-        if let Ok(Some(_)) = &out {
-            self.telemetry.served_bits.add(bits as u64);
-        }
-        out
+        })
     }
 
     /// Snapshot of the engine statistics.
@@ -953,23 +933,7 @@ impl HarvestEngine {
             .counters
             .iter()
             .enumerate()
-            .map(|(worker, c)| WorkerStats {
-                worker,
-                harvested_bits: c.harvested_bits.get(),
-                discarded_bits: c.discarded_bits.get(),
-                health_trips: c.health_trips.get(),
-                repetition_trips: c.repetition_trips.get(),
-                adaptive_trips: c.adaptive_trips.get(),
-                batches: c.batches.get(),
-                device_time_ps: c.device_time_ps.get(),
-                cache_skip_reads: c.cache_skip_reads.get(),
-                cache_hit_reads: c.cache_hit_reads.get(),
-                cache_resolve_reads: c.cache_resolve_reads.get(),
-                cache_bulk_cells: c.cache_bulk_cells.get(),
-                cache_bulk_lane_cells: c.cache_bulk_lane_cells.get(),
-                lifecycle: *c.lifecycle.lock(),
-                faults: *c.faults.lock(),
-            })
+            .map(|(worker, c)| c.snapshot(worker))
             .collect();
         EngineStats {
             harvested_bits: workers.iter().map(|w| w.harvested_bits).sum(),
@@ -1045,7 +1009,7 @@ fn worker_loop<S: HarvestSource>(
     source: S,
     shared: &Shared,
     counters: &WorkerCounters,
-    tel: &WorkerTelemetry,
+    stages: &StageHistograms,
     tracer: &Tracer,
     min_entropy: f64,
     max_rejects: u32,
@@ -1055,7 +1019,7 @@ fn worker_loop<S: HarvestSource>(
         source,
         shared,
         counters,
-        tel,
+        stages,
         tracer,
         min_entropy,
         max_rejects,
@@ -1080,7 +1044,7 @@ fn worker_run<S: HarvestSource>(
     mut source: S,
     shared: &Shared,
     counters: &WorkerCounters,
-    tel: &WorkerTelemetry,
+    stages: &StageHistograms,
     tracer: &Tracer,
     min_entropy: f64,
     max_rejects: u32,
@@ -1118,38 +1082,34 @@ fn worker_run<S: HarvestSource>(
                 batch_span.attr_str("serving_trace", &format!("{serving}"));
             }
         }
-        let span_harvest_t0 = tracer.clock();
-        let harvest_t0 = tel.harvest_ns.start();
-        let batch = match source.harvest_batch() {
+        let harvested = {
+            let _stage = Stage::start("engine.harvest", &stages.harvest, tracer);
+            source.harvest_batch()
+        };
+        let batch = match harvested {
             Ok(b) => b,
             Err(e) => return Some(e),
         };
-        tel.harvest_ns.observe_since(harvest_t0);
-        batch_span.child_since("engine.harvest", span_harvest_t0);
-        let device_time_ps = source.device_time_ps();
-        counters.device_time_ps.set(device_time_ps);
+        counters.device_time_ps.set(source.device_time_ps());
         counters.batches.add(1);
         counters.harvested_bits.add(batch.len() as u64);
-        tel.batches.inc();
-        tel.harvested_bits.add(batch.len() as u64);
         if let Some(cache) = source.sense_cache_stats() {
             let skip = cache
                 .skip_word_reads
                 .saturating_sub(last_cache.skip_word_reads);
             let hit = cache.hit_reads.saturating_sub(last_cache.hit_reads);
             let resolve = cache.resolve_reads.saturating_sub(last_cache.resolve_reads);
-            let bulk = cache.bulk_cells.saturating_sub(last_cache.bulk_cells);
-            let bulk_lanes = cache
-                .bulk_lane_cells
-                .saturating_sub(last_cache.bulk_lane_cells);
             counters.cache_skip_reads.add(skip);
             counters.cache_hit_reads.add(hit);
             counters.cache_resolve_reads.add(resolve);
-            counters.cache_bulk_cells.add(bulk);
-            counters.cache_bulk_lane_cells.add(bulk_lanes);
-            tel.cache_skip_reads.add(skip);
-            tel.cache_hit_reads.add(hit);
-            tel.cache_resolve_reads.add(resolve);
+            counters
+                .cache_bulk_cells
+                .add(cache.bulk_cells.saturating_sub(last_cache.bulk_cells));
+            counters.cache_bulk_lane_cells.add(
+                cache
+                    .bulk_lane_cells
+                    .saturating_sub(last_cache.bulk_lane_cells),
+            );
             last_cache = cache;
             if batch_span.is_recording() {
                 batch_span.attr_u64("cache_skip", skip);
@@ -1158,14 +1118,10 @@ fn worker_run<S: HarvestSource>(
             }
         }
         if let Some(lc) = source.lifecycle_stats() {
-            // Gauges mirror the snapshot; event counters are diffed
-            // against the previous snapshot (the source's counters are
-            // cumulative) so the telemetry counters stay additive.
+            // The snapshot is the one copy `stats()` and the exported
+            // lifecycle series read; the diff against the previous one
+            // only feeds span events.
             let prev = counters.lifecycle.lock().replace(lc).unwrap_or_default();
-            tel.lifecycle_live.set(lc.live_cells);
-            tel.lifecycle_quarantined.set(lc.quarantined_cells);
-            tel.lifecycle_retired.set(lc.retired_cells);
-            tel.degraded.set(u64::from(lc.degraded));
             let quarantined = lc.quarantine_events.saturating_sub(prev.quarantine_events);
             let reinstated = lc.reinstated_cells.saturating_sub(prev.reinstated_cells);
             if quarantined > 0 {
@@ -1174,51 +1130,19 @@ fn worker_run<S: HarvestSource>(
             if reinstated > 0 {
                 batch_span.event_u64("lifecycle.reinstate", reinstated);
             }
-            tel.quarantine_events.add(quarantined);
-            tel.reinstated_cells.add(reinstated);
-            tel.promoted_words
-                .add(lc.promoted_words.saturating_sub(prev.promoted_words));
-            tel.recharacterizations.add(
-                lc.recharacterizations
-                    .saturating_sub(prev.recharacterizations),
-            );
         }
         if let Some(faults) = source.fault_stats() {
-            let prev = counters.faults.lock().replace(faults).unwrap_or_default();
-            tel.fault_temperature.add(
-                faults
-                    .temperature_events
-                    .saturating_sub(prev.temperature_events),
-            );
-            tel.fault_noise.add(
-                faults
-                    .noise_bias_events
-                    .saturating_sub(prev.noise_bias_events),
-            );
-            tel.fault_aging
-                .add(faults.cells_aged.saturating_sub(prev.cells_aged));
-            tel.fault_stuck
-                .add(faults.cells_stuck.saturating_sub(prev.cells_stuck));
+            *counters.faults.lock() = Some(faults);
         }
-        if tel.throughput_bps.is_live() && device_time_ps > 0 {
-            let harvested = counters.harvested_bits.get();
-            let bps = harvested as f64 / (device_time_ps as f64 * 1e-12);
-            tel.throughput_bps.set(bps as u64);
-        }
-        let span_health_t0 = tracer.clock();
-        let health_t0 = tel.health_ns.start();
-        let trips = health.feed_bits(batch.iter());
-        tel.health_ns.observe_since(health_t0);
-        batch_span.child_since("engine.health", span_health_t0);
+        let trips = {
+            let _stage = Stage::start("engine.health", &stages.health, tracer);
+            health.feed_bits(batch.iter())
+        };
         if trips.total() > 0 {
             batch_span.event_u64("health.reject", trips.total());
-            counters.health_trips.add(trips.total());
             counters.repetition_trips.add(trips.repetition);
             counters.adaptive_trips.add(trips.adaptive);
             counters.discarded_bits.add(batch.len() as u64);
-            tel.repetition_trips.add(trips.repetition);
-            tel.adaptive_trips.add(trips.adaptive);
-            tel.discarded_bits.add(batch.len() as u64);
             // The guard is persistent worker state: it spans request
             // boundaries and resets only when a batch is accepted.
             consecutive_rejects += 1;
@@ -1233,24 +1157,19 @@ fn worker_run<S: HarvestSource>(
         let bits = batch.len() as u64;
         batch_span.attr_u64("bits", bits);
         shared.in_flight_bits.publish(bits);
-        let span_publish_t0 = tracer.clock();
-        let publish_t0 = tel.publish_ns.start();
+        let _stage = Stage::start("engine.publish", &stages.publish, tracer);
         // The one shared lock a batch takes: splice it into the pool
         // and ask the gate, in the same critical section, whether to
         // keep filling. The pool is unbounded, so a batch harvested
         // while shutdown was being raised still lands, and every
         // screened bit ends up queued or served.
-        let queued = {
+        {
             let mut pool = shared.pool.lock();
             pool.bits.push_block(&batch);
             admitted = pool.admits();
-            pool.bits.len()
-        };
+        }
         shared.in_flight_bits.retire(bits);
         shared.bits_available.notify_all();
-        tel.publish_ns.observe_since(publish_t0);
-        tel.pool_bits.set(queued as u64);
-        batch_span.child_since("engine.publish", span_publish_t0);
     }
 }
 
@@ -1426,7 +1345,8 @@ mod tests {
 
     #[test]
     fn serves_bits_and_bytes() {
-        let engine = HarvestEngine::spawn(vec![PrngSource::new(7, 128)], small_config()).unwrap();
+        let engine =
+            HarvestEngine::spawn(vec![PrngSource::new(7, 128)], small_config(), None).unwrap();
         let bits = engine.take_bits(100).unwrap();
         assert_eq!(bits.len(), 100);
         let bytes = engine.take_bytes(32).unwrap();
@@ -1439,7 +1359,7 @@ mod tests {
     #[test]
     fn accounting_balances_after_shutdown() {
         let sources = (0..3).map(|i| PrngSource::new(11 + i, 64)).collect();
-        let engine = HarvestEngine::spawn(sources, small_config()).unwrap();
+        let engine = HarvestEngine::spawn(sources, small_config(), None).unwrap();
         for _ in 0..10 {
             let _ = engine.take_bits(200).unwrap();
         }
@@ -1468,7 +1388,7 @@ mod tests {
         let sources = (0..workers as u64)
             .map(|i| PrngSource::new(3 + i, batch))
             .collect();
-        let engine = HarvestEngine::spawn(sources, config).unwrap();
+        let engine = HarvestEngine::spawn(sources, config, None).unwrap();
         // Let the engine idle-fill, then check the pool respects its
         // capacity plus at most one batch per worker.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1500,7 +1420,7 @@ mod tests {
             max_consecutive_rejects: 50,
             ..small_config()
         };
-        let engine = HarvestEngine::spawn(vec![StuckSource { batch: 64 }], config).unwrap();
+        let engine = HarvestEngine::spawn(vec![StuckSource { batch: 64 }], config, None).unwrap();
         let err = engine.take_bits(64).unwrap_err();
         assert!(matches!(err, DrangeError::Unhealthy(_)), "got {err:?}");
         let stats = engine.shutdown();
@@ -1526,7 +1446,7 @@ mod tests {
             reject_run: 10,
             position: 0,
         };
-        let engine = HarvestEngine::spawn(vec![source], config).unwrap();
+        let engine = HarvestEngine::spawn(vec![source], config, None).unwrap();
         let bits = engine.take_bits(1024).unwrap();
         assert_eq!(bits.len(), 1024);
         assert!(engine.first_error().is_none(), "{:?}", engine.first_error());
@@ -1546,14 +1466,15 @@ mod tests {
                 Err(DrangeError::Engine("synthetic device fault".into()))
             }
         }
-        let engine = HarvestEngine::spawn(vec![FailingSource], small_config()).unwrap();
+        let engine = HarvestEngine::spawn(vec![FailingSource], small_config(), None).unwrap();
         let err = engine.take_bits(8).unwrap_err();
         assert!(matches!(err, DrangeError::Engine(_)), "got {err:?}");
     }
 
     #[test]
     fn oversized_take_rejected() {
-        let engine = HarvestEngine::spawn(vec![PrngSource::new(1, 32)], small_config()).unwrap();
+        let engine =
+            HarvestEngine::spawn(vec![PrngSource::new(1, 32)], small_config(), None).unwrap();
         assert!(engine.take_bits(1 << 20).is_err());
         assert!(
             engine.take_bytes(usize::MAX / 4).is_err(),
@@ -1568,15 +1489,15 @@ mod tests {
             low_watermark: 100,
             ..EngineConfig::default()
         };
-        assert!(HarvestEngine::spawn(vec![PrngSource::new(1, 32)], bad_watermarks).is_err());
+        assert!(HarvestEngine::spawn(vec![PrngSource::new(1, 32)], bad_watermarks, None).is_err());
         let no_sources: Vec<PrngSource> = Vec::new();
-        assert!(HarvestEngine::spawn(no_sources, EngineConfig::default()).is_err());
+        assert!(HarvestEngine::spawn(no_sources, EngineConfig::default(), None).is_err());
     }
 
     #[test]
     fn telemetry_records_stages_counters_and_pool() {
         let registry = MetricsRegistry::new();
-        let engine = HarvestEngine::spawn_with_telemetry(
+        let engine = HarvestEngine::spawn(
             vec![PrngSource::new(42, 128)],
             small_config(),
             Some(&registry),
@@ -1632,7 +1553,8 @@ mod tests {
 
     #[test]
     fn spawn_without_registry_keeps_telemetry_noop() {
-        let engine = HarvestEngine::spawn(vec![PrngSource::new(9, 64)], small_config()).unwrap();
+        let engine =
+            HarvestEngine::spawn(vec![PrngSource::new(9, 64)], small_config(), None).unwrap();
         assert!(!engine.telemetry.take_bits_ns.is_live());
         assert!(
             engine.telemetry.take_bits_ns.start().is_none(),
@@ -1648,7 +1570,7 @@ mod tests {
             max_consecutive_rejects: 50,
             ..small_config()
         };
-        let engine = HarvestEngine::spawn(vec![StuckSource { batch: 64 }], config).unwrap();
+        let engine = HarvestEngine::spawn(vec![StuckSource { batch: 64 }], config, None).unwrap();
         let _ = engine.take_bits(64).unwrap_err();
         let stats = engine.shutdown();
         assert_eq!(
@@ -1690,7 +1612,7 @@ mod tests {
             inner: PrngSource::new(21, 128),
             stats: SenseCacheStats::default(),
         };
-        let engine = HarvestEngine::spawn(vec![source], small_config()).unwrap();
+        let engine = HarvestEngine::spawn(vec![source], small_config(), None).unwrap();
         let _ = engine.take_bits(256).unwrap();
         let stats = engine.shutdown();
         let w = stats.workers[0];
@@ -1767,8 +1689,7 @@ mod tests {
                 enabled: false,
             },
         ];
-        let engine =
-            HarvestEngine::spawn_with_telemetry(sources, small_config(), Some(&registry)).unwrap();
+        let engine = HarvestEngine::spawn(sources, small_config(), Some(&registry)).unwrap();
         let _ = engine.take_bits(512).unwrap();
         let stats = engine.shutdown();
         // Aggregation covers exactly the lifecycle-running worker.
@@ -1795,7 +1716,8 @@ mod tests {
             assert!(text.contains(series), "missing series {series} in:\n{text}");
         }
         // An engine of plain sources reports no lifecycle at all.
-        let plain = HarvestEngine::spawn(vec![PrngSource::new(33, 64)], small_config()).unwrap();
+        let plain =
+            HarvestEngine::spawn(vec![PrngSource::new(33, 64)], small_config(), None).unwrap();
         let _ = plain.take_bits(64).unwrap();
         let stats = plain.shutdown();
         assert!(stats.lifecycle.is_none());
@@ -1806,7 +1728,8 @@ mod tests {
     #[test]
     fn concurrent_clients_each_get_full_buffers() {
         let sources = (0..2).map(|i| PrngSource::new(100 + i, 128)).collect();
-        let engine = Arc::new(HarvestEngine::spawn::<PrngSource>(sources, small_config()).unwrap());
+        let engine =
+            Arc::new(HarvestEngine::spawn::<PrngSource>(sources, small_config(), None).unwrap());
         let mut handles = Vec::new();
         for t in 0..4 {
             let engine = Arc::clone(&engine);

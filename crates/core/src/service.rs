@@ -17,12 +17,11 @@
 
 use std::collections::HashMap;
 
-use drange_telemetry::{Counter, Histogram, MetricsRegistry, Tracer};
+use drange_telemetry::{Counter, Histogram, MetricsRegistry, Stage, Tracer};
 
 use crate::drbg::{DrbgConfig, DrbgFarm, DrbgStats};
 use crate::engine::{EngineConfig, EngineStats, HarvestEngine, HarvestSource};
 use crate::error::{DrangeError, Result};
-use crate::sampler::DRange;
 use crate::sync::{Mutex, SequenceCounter};
 
 /// Identifier of a filed randomness request.
@@ -100,61 +99,25 @@ pub struct RandomnessService {
 }
 
 impl RandomnessService {
-    /// Wraps a single generator (one harvesting channel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DrangeError::InvalidSpec`] for inconsistent
-    /// watermarks.
-    pub fn new(trng: DRange, config: ServiceConfig) -> Result<Self> {
-        Self::with_sources(vec![trng], config)
-    }
-
     /// Builds the service over one harvesting worker per source —
-    /// typically one [`DRange`] per simulated channel (see
+    /// typically one [`crate::DRange`] per simulated channel (see
     /// [`crate::engine::channel_sources`]).
+    ///
+    /// With a `registry`, the service, its engine and its DRBG farm
+    /// export their metrics there and trace through its tracer (live
+    /// when it carries a flight recorder); with `None` they still count
+    /// for `stats()`, but export nothing and read no clock.
     ///
     /// # Errors
     ///
     /// Returns [`DrangeError::InvalidSpec`] for inconsistent watermarks
     /// or an empty source list; propagates engine spawn failures.
-    pub fn with_sources<S: HarvestSource>(sources: Vec<S>, config: ServiceConfig) -> Result<Self> {
-        Self::with_sources_telemetry(sources, config, None)
-    }
-
-    /// As [`RandomnessService::with_sources`], additionally registering
-    /// service-level metrics (request counts/bytes, completion count,
-    /// `wait_receive` latency) and the engine's full metric set in
-    /// `registry` when one is given.
-    ///
-    /// # Errors
-    ///
-    /// As [`RandomnessService::with_sources`].
     pub fn with_sources_telemetry<S: HarvestSource>(
         sources: Vec<S>,
         config: ServiceConfig,
         registry: Option<&MetricsRegistry>,
     ) -> Result<Self> {
-        Self::with_sources_traced(sources, config, registry, Tracer::noop())
-    }
-
-    /// As [`RandomnessService::with_sources_telemetry`], additionally
-    /// attaching a [`Tracer`]: the request path (`request`,
-    /// `wait_receive`, the engine's pool drain) and the engine's
-    /// harvest threads emit spans into the tracer's flight recorder.
-    /// With [`Tracer::noop`] (what the other constructors pass) every
-    /// span is inert and never reads the clock.
-    ///
-    /// # Errors
-    ///
-    /// As [`RandomnessService::with_sources`].
-    pub fn with_sources_traced<S: HarvestSource>(
-        sources: Vec<S>,
-        config: ServiceConfig,
-        registry: Option<&MetricsRegistry>,
-        tracer: Tracer,
-    ) -> Result<Self> {
-        let engine = HarvestEngine::spawn_traced(
+        let engine = HarvestEngine::spawn(
             sources,
             EngineConfig {
                 queue_capacity: config.queue_capacity,
@@ -163,15 +126,9 @@ impl RandomnessService {
                 ..EngineConfig::default()
             },
             registry,
-            tracer.clone(),
         )?;
         let drbg = match config.drbg {
-            Some(drbg_config) => Some(DrbgFarm::new(
-                drbg_config,
-                engine.workers(),
-                registry,
-                tracer.clone(),
-            )?),
+            Some(drbg_config) => Some(DrbgFarm::new(drbg_config, engine.workers(), registry)?),
             None => None,
         };
         Ok(RandomnessService {
@@ -180,7 +137,7 @@ impl RandomnessService {
             next_id: SequenceCounter::new(),
             config,
             telemetry: ServiceTelemetry::new(registry),
-            tracer,
+            tracer: registry.map_or_else(Tracer::noop, MetricsRegistry::tracer),
             drbg,
         })
     }
@@ -229,12 +186,15 @@ impl RandomnessService {
     /// [`DrangeError::InvalidSpec`] for an id that was never filed on
     /// this service or was already claimed.
     pub fn wait_receive(&self, id: RequestId) -> Result<Vec<u8>> {
-        let t0 = self.telemetry.wait_receive_ns.start();
-        // The wait span covers the engine call, so the engine's
+        // The wait stage covers the engine call, so the engine's
         // `engine.pool_drain` span nests under it through the
         // thread-local context.
-        let mut span = self.tracer.span("service.wait");
-        span.attr_u64("request_id", id.0);
+        let mut stage = Stage::start(
+            "service.wait",
+            &self.telemetry.wait_receive_ns,
+            &self.tracer,
+        );
+        stage.span().attr_u64("request_id", id.0);
         let claimed = self.filed.lock().remove(&id);
         let out = match claimed {
             None => Err(DrangeError::InvalidSpec(
@@ -243,11 +203,10 @@ impl RandomnessService {
             Some(0) => Ok(Vec::new()),
             Some(bytes) => self.engine.take_bytes(bytes),
         };
-        drop(span);
+        drop(stage);
         if out.is_ok() {
             self.telemetry.completed.inc();
         }
-        self.telemetry.wait_receive_ns.observe_since(t0);
         out
     }
 
@@ -342,8 +301,9 @@ impl RandomnessService {
         &self.engine
     }
 
-    /// The tracer this service emits spans into ([`Tracer::noop`]
-    /// unless built via [`RandomnessService::with_sources_traced`]).
+    /// The tracer this service emits spans into: its registry's
+    /// ([`Tracer::noop`] unless the registry carries a flight
+    /// recorder).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -376,7 +336,7 @@ mod tests {
     use crate::bits::BitBlock;
     use crate::identify::{IdentifySpec, RngCellCatalog};
     use crate::profiler::{ProfileSpec, Profiler};
-    use crate::sampler::DRangeConfig;
+    use crate::sampler::{DRange, DRangeConfig};
     use dram_sim::{DeviceConfig, Manufacturer};
     use memctrl::MemoryController;
     use std::time::Duration;
@@ -414,8 +374,12 @@ mod tests {
         DRange::new(fresh_ctrl(), catalog(), DRangeConfig::default()).unwrap()
     }
 
+    fn service_over<S: HarvestSource>(source: S, config: ServiceConfig) -> RandomnessService {
+        RandomnessService::with_sources_telemetry(vec![source], config, None).unwrap()
+    }
+
     fn service() -> RandomnessService {
-        RandomnessService::new(generator(), ServiceConfig::default()).unwrap()
+        service_over(generator(), ServiceConfig::default())
     }
 
     /// A stuck source whose batches always fail health screening.
@@ -467,15 +431,14 @@ mod tests {
         // A small pool keeps the background prefill short: the
         // zero-discard assertion then covers a bounded, seed-fixed
         // stretch of the stream rather than racing a 64 Kibit fill.
-        let s = RandomnessService::new(
+        let s = service_over(
             generator(),
             ServiceConfig {
                 queue_capacity: 2048,
                 low_watermark: 256,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let id = s.request(64).unwrap();
         assert_eq!(s.wait_receive(id).unwrap().len(), 64);
         assert_eq!(s.discarded_bits(), 0);
@@ -497,15 +460,14 @@ mod tests {
             crate::lifecycle::LifecycleConfig::default(),
         )
         .unwrap();
-        let s = RandomnessService::with_sources(
-            vec![resilient],
+        let s = service_over(
+            resilient,
             ServiceConfig {
                 queue_capacity: 2048,
                 low_watermark: 256,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let id = s.request(16).unwrap();
         assert_eq!(s.wait_receive(id).unwrap().len(), 16);
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
@@ -551,13 +513,14 @@ mod tests {
 
     #[test]
     fn bad_config_rejected() {
-        assert!(RandomnessService::new(
-            generator(),
+        assert!(RandomnessService::with_sources_telemetry(
+            vec![generator()],
             ServiceConfig {
                 queue_capacity: 10,
                 low_watermark: 100,
                 ..Default::default()
-            }
+            },
+            None,
         )
         .is_err());
     }
@@ -567,8 +530,7 @@ mod tests {
         // The consecutive-rejection guard is persistent worker state:
         // it spans request boundaries and trips even though each
         // individual request never sees 1000 rejections itself.
-        let s =
-            RandomnessService::with_sources(vec![StuckSource], ServiceConfig::default()).unwrap();
+        let s = service_over(StuckSource, ServiceConfig::default());
         let id = s.request(16).unwrap();
         let err = s.wait_receive(id).unwrap_err();
         assert!(matches!(err, DrangeError::Unhealthy(_)), "got {err:?}");
@@ -631,15 +593,15 @@ mod tests {
     fn traced_service_records_nested_request_spans() {
         use drange_telemetry::{FlightRecorder, RecorderConfig};
         let recorder = FlightRecorder::with_config(RecorderConfig::default());
-        let s = RandomnessService::with_sources_traced(
+        let registry = MetricsRegistry::with_recorder(recorder.clone());
+        let s = RandomnessService::with_sources_telemetry(
             vec![PrngSource { state: 11 }],
             ServiceConfig {
                 queue_capacity: 2048,
                 low_watermark: 256,
                 ..Default::default()
             },
-            None,
-            recorder.tracer(),
+            Some(&registry),
         )
         .unwrap();
         let id = s.request(64).unwrap();
@@ -676,15 +638,14 @@ mod tests {
     }
 
     fn small_prng_service() -> RandomnessService {
-        RandomnessService::with_sources(
-            vec![PrngSource { state: 7 }],
+        service_over(
+            PrngSource { state: 7 },
             ServiceConfig {
                 queue_capacity: 2048,
                 low_watermark: 256,
                 ..Default::default()
             },
         )
-        .unwrap()
     }
 
     #[test]
@@ -724,16 +685,15 @@ mod tests {
     /// `InvalidSpec`, never a panic.
     #[test]
     fn fast_tier_disabled_is_an_explicit_error() {
-        let s = RandomnessService::with_sources(
-            vec![PrngSource { state: 11 }],
+        let s = service_over(
+            PrngSource { state: 11 },
             ServiceConfig {
                 queue_capacity: 2048,
                 low_watermark: 256,
                 drbg: None,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(!s.conditioning_enabled());
         assert!(s.drbg_stats().is_none());
         let err = s.generate_fast(16).unwrap_err();
@@ -754,5 +714,101 @@ mod tests {
         let foreign = other.request(8).unwrap();
         assert!(s.wait_receive(foreign).is_err(), "never filed here");
         assert_eq!(other.wait_receive(foreign).unwrap().len(), 8);
+    }
+
+    /// Alternates a stuck (all-zero) batch with a healthy one, so the
+    /// health monitors keep tripping while the pool still fills.
+    #[derive(Debug)]
+    struct FlakySource {
+        healthy: PrngSource,
+        stuck_next: bool,
+    }
+
+    impl HarvestSource for FlakySource {
+        fn harvest_batch(&mut self) -> Result<BitBlock> {
+            self.stuck_next = !self.stuck_next;
+            if self.stuck_next {
+                return Ok((0..128).map(|_| false).collect());
+            }
+            // Lead with a one so the stuck run cannot spill over.
+            let mut bits: Vec<bool> = self.healthy.harvest_batch()?.iter().collect();
+            bits[0] = true;
+            Ok(BitBlock::from_bools(&bits))
+        }
+    }
+
+    /// The value of the Prometheus sample `series` (name plus label
+    /// block, exactly as rendered).
+    fn sample(text: &str, series: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {series} in:\n{text}"))
+    }
+
+    #[test]
+    fn drbg_stats_equal_the_exported_series() {
+        let registry = MetricsRegistry::new();
+        let s = RandomnessService::with_sources_telemetry(
+            vec![FlakySource {
+                healthy: PrngSource { state: 5 },
+                stuck_next: false,
+            }],
+            ServiceConfig {
+                queue_capacity: 2048,
+                low_watermark: 256,
+                drbg: Some(DrbgConfig {
+                    shards: 1,
+                    reseed_interval: 1,
+                    ..DrbgConfig::default()
+                }),
+                ..Default::default()
+            },
+            Some(&registry),
+        )
+        .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while s.queued_bits() < 1024 {
+            assert!(std::time::Instant::now() < deadline, "pool never filled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        s.generate_fast(32).unwrap(); // instantiates: the trip baseline
+        let trips = s.engine().health_trip_counts().total();
+        // Drain until the worker harvests (and trips) again, so the
+        // next interval reseed sees trips it must refuse.
+        while s.engine().health_trip_counts().total() == trips {
+            assert!(std::time::Instant::now() < deadline, "no new trips");
+            let id = s.request(64).unwrap();
+            s.wait_receive(id).unwrap();
+        }
+        for _ in 0..3 {
+            assert_eq!(s.generate_fast(32).unwrap().len(), 32);
+        }
+        let stats = s.drbg_stats().unwrap();
+        assert!(stats.reseeds_blocked_health >= 1, "{stats:?}");
+        let text = registry.render_prometheus();
+        assert_eq!(
+            sample(&text, "drange_drbg_generates_total"),
+            stats.generates
+        );
+        assert_eq!(stats.generates, 4);
+        assert_eq!(sample(&text, "drange_drbg_reseeds_total"), stats.reseeds);
+        assert_eq!(
+            sample(&text, "drange_drbg_reseeds_blocked_total{cause=\"health\"}"),
+            stats.reseeds_blocked_health
+        );
+        assert_eq!(
+            sample(
+                &text,
+                "drange_drbg_reseeds_blocked_total{cause=\"starved\"}"
+            ),
+            stats.reseeds_blocked_starved
+        );
+        assert_eq!(
+            sample(&text, "drange_drbg_entropy_credits_total"),
+            stats.entropy_credited_bits
+        );
+        assert_eq!(sample(&text, "drange_drbg_output_bytes_total"), 4 * 32);
+        assert_eq!(sample(&text, "drange_drbg_generate_latency_ns_count"), 4);
+        s.shutdown();
     }
 }

@@ -10,7 +10,7 @@
 
 use std::io::{self, Read};
 
-use drange_telemetry::{Histogram, MetricsRegistry};
+use drange_telemetry::Histogram;
 
 use crate::engine::HarvestEngine;
 use crate::sampler::DRange;
@@ -63,21 +63,14 @@ pub struct EngineReader {
 }
 
 impl EngineReader {
-    /// Wraps an engine (reads are not instrumented).
+    /// Wraps an engine. When the engine exports into a registry, whole
+    /// `read` latency is recorded there as the
+    /// `drange_reader_read_latency_ns` histogram.
     pub fn new(engine: HarvestEngine) -> Self {
-        EngineReader {
-            engine,
-            read_ns: Histogram::noop(),
-        }
-    }
-
-    /// Wraps an engine and records whole-`read` latency into the
-    /// `drange_reader_read_latency_ns` histogram of `registry`.
-    pub fn with_telemetry(engine: HarvestEngine, registry: &MetricsRegistry) -> Self {
-        EngineReader {
-            engine,
-            read_ns: registry.histogram("drange_reader_read_latency_ns", &[]),
-        }
+        let read_ns = engine.registry().map_or_else(Histogram::noop, |reg| {
+            reg.histogram("drange_reader_read_latency_ns", &[])
+        });
+        EngineReader { engine, read_ns }
     }
 
     /// Returns the wrapped engine.
@@ -208,7 +201,7 @@ mod tests {
             low_watermark: 1 << 6,
             ..EngineConfig::default()
         };
-        let engine = HarvestEngine::spawn(vec![trng()], config).unwrap();
+        let engine = HarvestEngine::spawn(vec![trng()], config, None).unwrap();
         let mut r = EngineReader::new(engine);
         // 1 KiB = 8192 bits, far beyond the 1024-bit pool: the read is
         // served in chunks across several refills.
@@ -246,19 +239,15 @@ mod tests {
             }
         }
 
-        let registry = MetricsRegistry::new();
+        let registry = drange_telemetry::MetricsRegistry::new();
         let config = EngineConfig {
             queue_capacity: 1 << 12,
             low_watermark: 1 << 8,
             ..EngineConfig::default()
         };
-        let engine = HarvestEngine::spawn_with_telemetry(
-            vec![PrngSource { state: 77 }],
-            config,
-            Some(&registry),
-        )
-        .unwrap();
-        let mut r = EngineReader::with_telemetry(engine, &registry);
+        let engine =
+            HarvestEngine::spawn(vec![PrngSource { state: 77 }], config, Some(&registry)).unwrap();
+        let mut r = EngineReader::new(engine);
         let mut buf = vec![0u8; 64];
         r.read_exact(&mut buf).unwrap();
         r.read_exact(&mut buf).unwrap();

@@ -227,9 +227,7 @@ fn lifecycle_series_reach_prometheus_export() {
         Some(&registry),
     )
     .unwrap();
-    let engine =
-        HarvestEngine::spawn_with_telemetry(sources, EngineConfig::default(), Some(&registry))
-            .unwrap();
+    let engine = HarvestEngine::spawn(sources, EngineConfig::default(), Some(&registry)).unwrap();
 
     // The stuck victims trip their run-length monitors after
     // `stuck_run_cutoff` batches; quarantine and the subsequent
@@ -268,6 +266,79 @@ fn lifecycle_series_reach_prometheus_export() {
         .lifecycle
         .expect("resilient sources report lifecycle stats");
     assert!(lc.quarantine_events >= 1);
-    assert!(stats.faults.expect("fault stats flow through").cells_stuck >= victims.len() as u64);
+    let faults = stats.faults.expect("fault stats flow through");
+    assert!(faults.cells_stuck >= victims.len() as u64);
     assert!(!stats.is_degraded());
+
+    // `stats()` and the export read the same cells, so after shutdown
+    // they agree on every quantity they share.
+    let text = registry.render_prometheus();
+    let exported = |fragments: &[&str]| -> u64 {
+        let v = sample_value(&text, fragments)
+            .unwrap_or_else(|| panic!("no sample {fragments:?} in:\n{text}"));
+        v as u64
+    };
+    let w = ["worker=\"0\""];
+    let per_worker =
+        |name: &'static str, label: &'static str| -> u64 { exported(&[name, label, w[0]]) };
+    assert_eq!(stats.workers.len(), 1);
+    assert_eq!(
+        exported(&["drange_worker_harvested_bits_total", w[0]]),
+        stats.harvested_bits
+    );
+    assert_eq!(
+        exported(&["drange_worker_discarded_bits_total", w[0]]),
+        stats.discarded_bits
+    );
+    assert_eq!(
+        exported(&["drange_worker_batches_total", w[0]]),
+        stats.workers[0].batches
+    );
+    let trips = "drange_health_trips_total";
+    assert_eq!(
+        per_worker(trips, "test=\"repetition\""),
+        stats.repetition_trips
+    );
+    assert_eq!(per_worker(trips, "test=\"adaptive\""), stats.adaptive_trips);
+    let reads = "drange_cache_reads_total";
+    assert_eq!(per_worker(reads, "kind=\"skip\""), stats.cache_skip_reads);
+    assert_eq!(per_worker(reads, "kind=\"hit\""), stats.cache_hit_reads);
+    assert_eq!(
+        per_worker(reads, "kind=\"resolve\""),
+        stats.cache_resolve_reads
+    );
+    assert_eq!(exported(&["drange_served_bits_total"]), stats.served_bits);
+    let cells = "drange_lifecycle_cells";
+    assert_eq!(per_worker(cells, "state=\"live\""), lc.live_cells);
+    assert_eq!(
+        per_worker(cells, "state=\"quarantined\""),
+        lc.quarantined_cells
+    );
+    assert_eq!(per_worker(cells, "state=\"retired\""), lc.retired_cells);
+    assert_eq!(exported(&["drange_degraded", w[0]]), u64::from(lc.degraded));
+    let events = "drange_lifecycle_events_total";
+    assert_eq!(
+        per_worker(events, "event=\"quarantine\""),
+        lc.quarantine_events
+    );
+    assert_eq!(
+        per_worker(events, "event=\"reinstate\""),
+        lc.reinstated_cells
+    );
+    assert_eq!(per_worker(events, "event=\"promote\""), lc.promoted_words);
+    assert_eq!(
+        per_worker(events, "event=\"recharacterize\""),
+        lc.recharacterizations
+    );
+    let injected = "drange_injected_faults_total";
+    assert_eq!(
+        per_worker(injected, "kind=\"temperature\""),
+        faults.temperature_events
+    );
+    assert_eq!(
+        per_worker(injected, "kind=\"noise\""),
+        faults.noise_bias_events
+    );
+    assert_eq!(per_worker(injected, "kind=\"aging\""), faults.cells_aged);
+    assert_eq!(per_worker(injected, "kind=\"stuck\""), faults.cells_stuck);
 }

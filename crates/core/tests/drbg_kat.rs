@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use drange_core::drbg::{chacha, DrbgConfig, DrbgFarm, SeedSource};
-use drange_core::telemetry::Tracer;
 use drange_core::{Result, TripCounts};
 
 const KEYSTREAM_VECTORS: &str = include_str!("vectors/chacha20_keystream.txt");
@@ -168,7 +167,6 @@ fn run_drbg_chain() -> (Vec<String>, DrbgFarm, FixedSeed) {
         },
         1,
         None,
-        Tracer::noop(),
     )
     .expect("valid config");
     let src = FixedSeed::new();
@@ -234,7 +232,6 @@ fn reseed_blocked_on_health_trip_never_blocks_serving() {
         },
         1,
         None,
-        Tracer::noop(),
     )
     .expect("valid config");
     let src = FixedSeed::new();

@@ -14,7 +14,6 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use drange_core::drbg::{DrbgConfig, DrbgFarm, SeedSource};
-use drange_core::telemetry::Tracer;
 use drange_core::{DrangeError, Result, TripCounts};
 use proptest::prelude::*;
 
@@ -163,7 +162,6 @@ fn one_shard_farm(reseed_interval: u64, seed_bytes: usize) -> DrbgFarm {
         },
         1,
         None,
-        Tracer::noop(),
     )
     .expect("valid config")
 }

@@ -62,7 +62,7 @@ proptest! {
             .map(|i| ScriptedSource::Prng { state: seed ^ i as u64, batch })
             .chain((0..stuck).map(|_| ScriptedSource::Stuck { batch }))
             .collect();
-        let engine = HarvestEngine::spawn(sources, small_config()).unwrap();
+        let engine = HarvestEngine::spawn(sources, small_config(), None).unwrap();
         let mut served_bytes = 0usize;
         for &r in &requests {
             let bytes = engine.take_bytes(r).unwrap();
@@ -89,7 +89,7 @@ proptest! {
         let sources: Vec<ScriptedSource> = (0..2)
             .map(|i| ScriptedSource::Prng { state: seed ^ i as u64, batch: 96 })
             .collect();
-        let engine = HarvestEngine::spawn(sources, small_config()).unwrap();
+        let engine = HarvestEngine::spawn(sources, small_config(), None).unwrap();
         let total_bytes: usize = requests.iter().sum();
         std::thread::scope(|scope| {
             let mid = requests.len() / 2;

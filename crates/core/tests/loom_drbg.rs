@@ -2,7 +2,8 @@
 //!
 //! Run with `RUSTFLAGS="--cfg loom" cargo test -p drange-core --test
 //! loom_drbg`. A [`drange_core::DrbgFarm`] shard is a mutex around
-//! `(key, credit, counters)`; its two safety claims are:
+//! `(key, credit)`, and the farm's event counts are atomic cells bumped
+//! inside that critical section; its two safety claims are:
 //!
 //! 1. **Key erasure is atomic.** Every generate reads the key, derives
 //!    `(next_key, output)` from it, and writes the next key back in
@@ -23,6 +24,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use loomlite::sync::atomic::{AtomicU64, Ordering};
 use loomlite::sync::{Arc, Mutex};
 use loomlite::{thread, Builder};
 
@@ -33,16 +35,23 @@ struct Shard {
     key: u64,
     credited: u64,
     spent: u64,
-    generates: u64,
 }
 
-fn shard() -> Mutex<Shard> {
-    Mutex::new(Shard {
-        key: 0x5EED,
-        credited: 0,
-        spent: 0,
-        generates: 0,
-    })
+/// A one-shard farm: the shard mutex plus the farm's generate cell.
+struct Farm {
+    shard: Mutex<Shard>,
+    generates: AtomicU64,
+}
+
+fn farm() -> Farm {
+    Farm {
+        shard: Mutex::new(Shard {
+            key: 0x5EED,
+            credited: 0,
+            spent: 0,
+        }),
+        generates: AtomicU64::new(0),
+    }
 }
 
 /// The abstract ratchet: `output` is a function of the pre-ratchet key
@@ -57,11 +66,11 @@ fn ratchet(key: u64) -> (u64, u64) {
 
 /// Mirrors `generate_inner`'s critical section: ratchet and spend
 /// under one lock acquisition.
-fn generate(shard: &Mutex<Shard>, bytes: u64) -> u64 {
-    let mut s = shard.lock().expect("model lock");
+fn generate(farm: &Farm, bytes: u64) -> u64 {
+    let mut s = farm.shard.lock().expect("model lock");
     let (next, out) = ratchet(s.key);
     s.key = next;
-    s.generates += 1;
+    farm.generates.fetch_add(1, Ordering::SeqCst);
     let available = s.credited - s.spent;
     s.spent += (bytes * 8).min(available);
     out
@@ -70,15 +79,15 @@ fn generate(shard: &Mutex<Shard>, bytes: u64) -> u64 {
 /// The tempting refactor the checker must reject: read the key, drop
 /// the lock "while the keystream computes", write the next key back in
 /// a second acquisition. Fast, and fatally wrong.
-fn generate_split_lock(shard: &Mutex<Shard>, bytes: u64) -> u64 {
+fn generate_split_lock(farm: &Farm, bytes: u64) -> u64 {
     let key = {
-        let s = shard.lock().expect("model lock");
+        let s = farm.shard.lock().expect("model lock");
         s.key
     };
     let (next, out) = ratchet(key);
-    let mut s = shard.lock().expect("model lock");
+    let mut s = farm.shard.lock().expect("model lock");
     s.key = next;
-    s.generates += 1;
+    farm.generates.fetch_add(1, Ordering::SeqCst);
     let available = s.credited - s.spent;
     s.spent += (bytes * 8).min(available);
     out
@@ -86,8 +95,8 @@ fn generate_split_lock(shard: &Mutex<Shard>, bytes: u64) -> u64 {
 
 /// Mirrors `reseed_shard`'s success path: absorb and credit under the
 /// same lock acquisition.
-fn reseed(shard: &Mutex<Shard>, seed: u64, bits: u64) {
-    let mut s = shard.lock().expect("model lock");
+fn reseed(farm: &Farm, seed: u64, bits: u64) {
+    let mut s = farm.shard.lock().expect("model lock");
     s.key ^= seed;
     s.credited += bits;
 }
@@ -102,24 +111,27 @@ fn concurrent_generates_never_repeat_output() {
         max_iterations: None,
     };
     bounded.check(|| {
-        let shard = Arc::new(shard());
+        let farm = Arc::new(farm());
         let a = thread::spawn({
-            let shard = Arc::clone(&shard);
-            move || generate(&shard, 16)
+            let farm = Arc::clone(&farm);
+            move || generate(&farm, 16)
         });
         let b = thread::spawn({
-            let shard = Arc::clone(&shard);
-            move || generate(&shard, 16)
+            let farm = Arc::clone(&farm);
+            move || generate(&farm, 16)
         });
-        let c = generate(&shard, 16);
+        let c = generate(&farm, 16);
         let a = a.join().expect("generate thread a");
         let b = b.join().expect("generate thread b");
         assert!(
             a != b && a != c && b != c,
             "two generates observed the same key: {a:#x} {b:#x} {c:#x}"
         );
-        let s = shard.lock().expect("model lock");
-        assert_eq!(s.generates, 3, "every generate must be minted once");
+        assert_eq!(
+            farm.generates.load(Ordering::SeqCst),
+            3,
+            "every generate must be minted once"
+        );
     });
 }
 
@@ -130,12 +142,12 @@ fn concurrent_generates_never_repeat_output() {
 fn split_lock_ratchet_loses_key_erasure() {
     let result = catch_unwind(AssertUnwindSafe(|| {
         loomlite::model(|| {
-            let shard = Arc::new(shard());
+            let farm = Arc::new(farm());
             let a = thread::spawn({
-                let shard = Arc::clone(&shard);
-                move || generate_split_lock(&shard, 16)
+                let farm = Arc::clone(&farm);
+                move || generate_split_lock(&farm, 16)
             });
-            let b = generate_split_lock(&shard, 16);
+            let b = generate_split_lock(&farm, 16);
             let a = a.join().expect("generate thread");
             assert_ne!(a, b, "repeated DRBG output");
         });
@@ -162,18 +174,18 @@ fn credit_never_runs_ahead_of_the_reseed() {
         max_iterations: None,
     };
     bounded.check(|| {
-        let shard = Arc::new(shard());
+        let farm = Arc::new(farm());
         let reseeder = thread::spawn({
-            let shard = Arc::clone(&shard);
-            move || reseed(&shard, 0xFEED_FACE, 256)
+            let farm = Arc::clone(&farm);
+            move || reseed(&farm, 0xFEED_FACE, 256)
         });
         let spender = thread::spawn({
-            let shard = Arc::clone(&shard);
-            move || generate(&shard, 64)
+            let farm = Arc::clone(&farm);
+            move || generate(&farm, 64)
         });
         // The observer: every lock acquisition must see a sound ledger.
         {
-            let s = shard.lock().expect("model lock");
+            let s = farm.shard.lock().expect("model lock");
             assert!(
                 s.spent <= s.credited,
                 "observer saw spent {} > credited {}",
@@ -181,12 +193,12 @@ fn credit_never_runs_ahead_of_the_reseed() {
                 s.credited
             );
         }
-        let _ = generate(&shard, 64);
+        let _ = generate(&farm, 64);
         reseeder.join().expect("reseed thread");
         spender.join().expect("spender thread");
-        let s = shard.lock().expect("model lock");
+        let s = farm.shard.lock().expect("model lock");
         assert!(s.spent <= s.credited, "final ledger unsound");
         assert_eq!(s.credited, 256);
-        assert_eq!(s.generates, 2);
+        assert_eq!(farm.generates.load(Ordering::SeqCst), 2);
     });
 }

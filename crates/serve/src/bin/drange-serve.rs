@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dram_sim::{DeviceConfig, Manufacturer};
-use drange_core::telemetry::{FlightRecorder, MetricsRegistry, RecorderConfig, Tracer};
+use drange_core::telemetry::{FlightRecorder, MetricsRegistry, RecorderConfig};
 use drange_core::{
     channel_sources, DRangeConfig, DrbgConfig, IdentifySpec, ProfileSpec, Profiler,
     RandomnessService, RngCellCatalog, ServiceConfig,
@@ -156,11 +156,7 @@ fn parse_cli() -> Result<Option<Cli>, String> {
     Ok(Some(cli))
 }
 
-fn build_service(
-    cli: &Cli,
-    registry: &MetricsRegistry,
-    tracer: Tracer,
-) -> Result<RandomnessService, String> {
+fn build_service(cli: &Cli, registry: &MetricsRegistry) -> Result<RandomnessService, String> {
     let service_config = ServiceConfig {
         queue_capacity: cli.queue_bits,
         low_watermark: (cli.queue_bits / 16).max(1),
@@ -172,7 +168,7 @@ fn build_service(
             let sources: Vec<PrngHarvestSource> = (0..cli.channels.max(1))
                 .map(|i| PrngHarvestSource::new(cli.seed.wrapping_add(i as u64)))
                 .collect();
-            RandomnessService::with_sources_traced(sources, service_config, Some(registry), tracer)
+            RandomnessService::with_sources_telemetry(sources, service_config, Some(registry))
                 .map_err(|e| e.to_string())
         }
         "sim" => {
@@ -191,7 +187,7 @@ fn build_service(
                 cli.channels.max(1),
             )
             .map_err(|e| format!("channel setup failed: {e}"))?;
-            RandomnessService::with_sources_traced(sources, service_config, Some(registry), tracer)
+            RandomnessService::with_sources_telemetry(sources, service_config, Some(registry))
                 .map_err(|e| e.to_string())
         }
         other => Err(format!("unknown --source `{other}` (prng|sim)")),
@@ -207,20 +203,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let registry = MetricsRegistry::new();
-    // The flight recorder rides along with the debug endpoints: without
-    // them there is nobody to read the ring, so the tracer stays noop
-    // and the span plumbing costs nothing.
-    let recorder = cli.debug_endpoints.then(|| {
-        FlightRecorder::with_config(RecorderConfig {
+    // The debug endpoints are the flight recorder's readers: the flag
+    // builds the recorder into the registry, which turns the tracer
+    // live and `/debug/*` on. Without it the span plumbing costs
+    // nothing and `/debug/*` is 404.
+    let registry = if cli.debug_endpoints {
+        MetricsRegistry::with_recorder(FlightRecorder::with_config(RecorderConfig {
             latency_threshold: cli.trace_threshold,
             ..RecorderConfig::default()
-        })
-    });
-    let tracer = recorder
-        .as_ref()
-        .map_or_else(Tracer::noop, FlightRecorder::tracer);
-    let service = match build_service(&cli, &registry, tracer) {
+        }))
+    } else {
+        MetricsRegistry::new()
+    };
+    let service = match build_service(&cli, &registry) {
         Ok(service) => Arc::new(service),
         Err(e) => {
             eprintln!("drange-serve: {e}");
@@ -232,11 +227,10 @@ fn main() -> ExitCode {
         fetch_timeout: cli.fetch_timeout,
         rate_limit: cli.rate_limit,
         allow_shutdown: cli.allow_shutdown,
-        debug_endpoints: cli.debug_endpoints,
         default_source: cli.default_source,
         ..ServerConfig::default()
     };
-    let server = match Server::bind_with_recorder(cli.addr, service, registry, config, recorder) {
+    let server = match Server::bind(cli.addr, service, registry, config) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("drange-serve: cannot bind {}: {e}", cli.addr);

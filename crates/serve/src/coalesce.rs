@@ -77,14 +77,15 @@ pub struct Coalescer {
     max_batch_bytes: usize,
     /// Engine-side wait bound; expiry is an underrun.
     fetch_timeout: Duration,
-    /// Span source for fetch/combine instrumentation (noop by default).
-    tracer: Tracer,
 }
 
 impl Coalescer {
     /// Creates a coalescer. `max_batch_bytes` must leave a combined
     /// request serviceable by the engine (at most the pool capacity in
-    /// bytes) — the server's config validation enforces that.
+    /// bytes) — the server's config validation enforces that. Fetches
+    /// trace through the service's tracer: every fetch records a
+    /// `serve.fetch` span (mode direct/leader/follower) and each
+    /// combined engine round-trip a `serve.combine` span.
     #[must_use]
     pub fn new(
         max_coalesced_bytes: usize,
@@ -99,24 +100,14 @@ impl Coalescer {
             max_batch_tickets: max_batch_tickets.max(1),
             max_batch_bytes: max_batch_bytes.max(1),
             fetch_timeout,
-            tracer: Tracer::noop(),
         }
-    }
-
-    /// Attaches a tracer: every fetch records a `serve.fetch` span
-    /// (mode direct/leader/follower) and each combined engine
-    /// round-trip a `serve.combine` span.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
     }
 
     /// Fetches `bytes` random bytes, combining with concurrent callers
     /// when the request is small. Blocks until the bytes arrive or the
     /// engine-side wait times out ([`FetchError::Underrun`]).
     pub fn fetch(&self, service: &RandomnessService, bytes: usize) -> Result<Vec<u8>, FetchError> {
-        let mut span = self.tracer.span("serve.fetch");
+        let mut span = service.tracer().span("serve.fetch");
         span.attr_u64("bytes", bytes as u64);
         if bytes > self.max_coalesced_bytes {
             span.attr_str("mode", "direct");
@@ -210,7 +201,7 @@ impl Coalescer {
                 batch
             };
             let total: usize = batch.iter().map(|t| t.bytes).sum();
-            let mut combine_span = self.tracer.span("serve.combine");
+            let mut combine_span = service.tracer().span("serve.combine");
             if combine_span.is_recording() {
                 combine_span.attr_u64("tickets", batch.len() as u64);
                 combine_span.attr_u64("bytes", total as u64);
@@ -270,7 +261,7 @@ mod tests {
             PrngHarvestSource::new(0xFEED_F00D),
         ];
         Arc::new(
-            RandomnessService::with_sources(
+            RandomnessService::with_sources_telemetry(
                 sources,
                 ServiceConfig {
                     queue_capacity: 1 << 16,
@@ -278,6 +269,7 @@ mod tests {
                     min_entropy: 0.9,
                     drbg: None,
                 },
+                None,
             )
             .expect("prng service must spawn"),
         )

@@ -19,8 +19,8 @@
 //! | `/healthz` | GET | `200 ok` | `503 degraded` |
 //! | `/metrics` | GET | `200` Prometheus text | — |
 //! | `/-/shutdown` | POST | `200`, then graceful stop | `404` unless enabled |
-//! | `/debug/trace?n=N` | GET/HEAD | `200` Chrome trace JSON | `404` unless [`ServerConfig::debug_endpoints`] |
-//! | `/debug/slow` | GET/HEAD | `200` slowest-requests table | `404` unless [`ServerConfig::debug_endpoints`] |
+//! | `/debug/trace?n=N` | GET/HEAD | `200` Chrome trace JSON | `404` unless the registry carries a flight recorder |
+//! | `/debug/slow` | GET/HEAD | `200` slowest-requests table | `404` unless the registry carries a flight recorder |
 //!
 //! Every `/random` response — including `429`/`503` rejections —
 //! carries `X-Drange-Request-Id`, the request's trace id, so clients
@@ -53,14 +53,18 @@
 //!
 //! ## Tracing
 //!
-//! [`Server::bind_with_recorder`] attaches a
+//! The server's [`MetricsRegistry`] is its one observability handle.
+//! Built with [`MetricsRegistry::with_recorder`], it carries a
 //! [`drange_core::telemetry::FlightRecorder`]: each request then
 //! records a span tree — parse, rate limit, coalesced fetch, the
 //! combined engine fetch and its pool drain, response write — into a
 //! bounded in-memory ring, exported at `/debug/trace` (Chrome
 //! trace-event JSON) and `/debug/slow` (a human-readable table of the
-//! slowest requests). Without a recorder every span is a no-op that
-//! never reads the clock.
+//! slowest requests). Those two endpoints exist exactly when the
+//! recorder does; they expose request metadata, so build the recorder
+//! (`drange-serve --debug-endpoints`) for operators, not the public
+//! edge. Without one every span is a no-op that never reads the clock,
+//! and `/debug/*` is `404`.
 //!
 //! ## Backpressure
 //!
@@ -87,7 +91,7 @@ use std::time::{Duration, Instant};
 
 use drange_core::sync::{Condvar, Flag, Mutex};
 use drange_core::telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceId, Tracer,
+    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Stage, TraceId, Tracer,
 };
 use drange_core::{BatchChannel, RandomnessService};
 
@@ -159,11 +163,6 @@ pub struct ServerConfig {
     /// Whether `POST /-/shutdown` stops the server (off by default;
     /// meant for supervised deployments and CI smoke tests).
     pub allow_shutdown: bool,
-    /// Whether `GET /debug/trace` and `GET /debug/slow` are served (off
-    /// by default; they expose request metadata and are meant for
-    /// operators, not the public edge). Useful only together with a
-    /// flight recorder ([`Server::bind_with_recorder`]).
-    pub debug_endpoints: bool,
     /// The tier serving `/random` requests that carry no `?source=`
     /// parameter (default [`SourceMode::True`]: raw harvest bits, the
     /// conservative choice — clients opt *in* to conditioned output).
@@ -184,7 +183,6 @@ impl Default for ServerConfig {
             coalesce_max_batch: 64,
             rate_limit: None,
             allow_shutdown: false,
-            debug_endpoints: false,
             default_source: SourceMode::True,
         }
     }
@@ -235,8 +233,6 @@ struct ServerShared {
     coalescer: Coalescer,
     limiter: Option<RateLimiter>,
     telemetry: ServerTelemetry,
-    /// The trace ring behind `/debug/trace` and `/debug/slow`.
-    recorder: Option<FlightRecorder>,
     /// Span source for the request path (noop without a recorder).
     tracer: Tracer,
     /// Raised exactly once; workers and the acceptor observe it at
@@ -295,7 +291,10 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (port 0 picks a free port) and starts serving
     /// `service`. Engine and server metrics render at `/metrics` when
-    /// they share `registry`.
+    /// they share `registry`. When `registry` carries a flight recorder
+    /// ([`MetricsRegistry::with_recorder`]), every request records a
+    /// span tree (parse, rate limit, fetch, engine wait, write) into
+    /// its ring, and `/debug/trace` and `/debug/slow` export it.
     ///
     /// # Errors
     ///
@@ -306,42 +305,16 @@ impl Server {
         registry: MetricsRegistry,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        Self::bind_with_recorder(addr, service, registry, config, None)
-    }
-
-    /// As [`Server::bind`], additionally attaching a [`FlightRecorder`]:
-    /// every request records a span tree (parse, rate limit, fetch,
-    /// engine wait, write) into the recorder's ring, and —
-    /// when [`ServerConfig::debug_endpoints`] is set — `/debug/trace`
-    /// and `/debug/slow` export it. The recorder's drop counters
-    /// register on `registry` as `drange_trace_*` metrics.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::bind`].
-    pub fn bind_with_recorder(
-        addr: SocketAddr,
-        service: Arc<RandomnessService>,
-        registry: MetricsRegistry,
-        config: ServerConfig,
-        recorder: Option<FlightRecorder>,
-    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let workers = config.worker_threads.max(1);
-        let tracer = recorder
-            .as_ref()
-            .map_or_else(Tracer::noop, FlightRecorder::tracer);
-        if let Some(rec) = &recorder {
-            rec.attach_metrics(&registry);
-        }
+        let tracer = registry.tracer();
         let coalescer = Coalescer::new(
             config.coalesce_max_bytes,
             config.coalesce_max_batch,
             config.coalesce_max_batch.max(1) * config.coalesce_max_bytes.max(1),
             config.fetch_timeout,
-        )
-        .with_tracer(tracer.clone());
+        );
         let limiter = config.rate_limit.map(RateLimiter::new);
         let telemetry = ServerTelemetry::new(&registry);
         let shared = Arc::new(ServerShared {
@@ -350,7 +323,6 @@ impl Server {
             coalescer,
             limiter,
             telemetry,
-            recorder,
             tracer,
             stopping: Flag::new(),
             stop_state: Mutex::new(false),
@@ -448,6 +420,7 @@ fn acceptor_loop(shared: &ServerShared, listener: &TcpListener) {
                 if shared.stopping.is_raised() {
                     break;
                 }
+                // xtask:allow(entropy-taint) -- the queue carries TCP connections, never bits; the call graph reaches a sampler only through same-named `new`/`next` items
                 if shared.connections.send(http::Conn::new(stream)).is_err() {
                     // Queue closed: we are stopping; the stream drops
                     // and the client sees a reset, which is the
@@ -491,6 +464,7 @@ fn worker_loop(shared: &ServerShared) {
                 if shared.stopping.is_raised() {
                     break;
                 }
+                // xtask:allow(entropy-taint) -- rotates a TCP connection, never bits; the call graph reaches a sampler only through same-named `new`/`next` items
                 if let Err(conn) = shared.connections.try_send(conn) {
                     // No room to rotate (queue refilled or closing):
                     // keep serving this connection ourselves.
@@ -533,14 +507,19 @@ fn serve_connection(shared: &ServerShared, mut conn: http::Conn) -> Option<http:
                 // tracer, so `X-Drange-Request-Id` is always available
                 // for log correlation.
                 let trace = TraceId::next();
-                let mut span = shared.tracer.root_span("serve.request", trace);
+                let mut stage = Stage::root(
+                    "serve.request",
+                    &shared.telemetry.request_latency_ns,
+                    &shared.tracer,
+                    Some(trace),
+                );
+                let span = stage.span();
                 if span.is_recording() {
                     span.attr_str("method", &request.method);
                     span.attr_str("path", &request.path);
                     span.attr_str("peer", &peer_ip.to_string());
                 }
                 span.child_since("serve.parse", parse_t0);
-                let t0 = shared.telemetry.request_latency_ns.start();
                 let mut response = handle_request(shared, &request, peer_ip);
                 if request.path == "/random" {
                     response = response.with_header("X-Drange-Request-Id", format!("{trace}"));
@@ -554,12 +533,12 @@ fn serve_connection(shared: &ServerShared, mut conn: http::Conn) -> Option<http:
                 }
                 let write_t0 = shared.tracer.clock();
                 let write_ok = http::write_response(conn.stream(), &response).is_ok();
+                let span = stage.span();
                 span.child_since("serve.write", write_t0);
                 if span.is_recording() {
                     span.attr_u64("status", u64::from(response.status));
                 }
-                drop(span);
-                shared.telemetry.request_latency_ns.observe_since(t0);
+                drop(stage);
                 if !write_ok || response.close {
                     return None;
                 }
@@ -582,29 +561,24 @@ fn serve_connection(shared: &ServerShared, mut conn: http::Conn) -> Option<http:
     }
 }
 
-/// Routes one parsed request to its endpoint.
+/// Routes one parsed request to its endpoint. The `/debug/*`
+/// endpoints exist only while the registry carries a flight recorder.
 fn handle_request(shared: &ServerShared, request: &Request, peer_ip: IpAddr) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET" | "HEAD", "/random") => handle_random(shared, request, peer_ip),
-        ("GET" | "HEAD", "/healthz") => handle_healthz(shared),
-        ("GET" | "HEAD", "/metrics") => Response::text(200, &shared.registry.render_prometheus()),
-        ("POST", "/-/shutdown") if shared.config.allow_shutdown => {
+    let recorder = shared.registry.recorder();
+    match (request.method.as_str(), request.path.as_str(), recorder) {
+        ("GET" | "HEAD", "/random", _) => handle_random(shared, request, peer_ip),
+        ("GET" | "HEAD", "/healthz", _) => handle_healthz(shared),
+        ("GET" | "HEAD", "/metrics", _) => {
+            Response::text(200, &shared.registry.render_prometheus())
+        }
+        ("POST", "/-/shutdown", _) if shared.config.allow_shutdown => {
             shared.signal_stop();
             Response::text(200, "shutting down\n").closing()
         }
-        ("GET" | "HEAD", "/debug/trace") if shared.config.debug_endpoints => {
-            handle_debug_trace(shared, request)
-        }
-        ("GET" | "HEAD", "/debug/slow") if shared.config.debug_endpoints => {
-            match &shared.recorder {
-                Some(rec) => Response::text(200, &rec.render_slow_table()),
-                None => Response::text(404, "no flight recorder attached\n"),
-            }
-        }
-        (_, "/random" | "/healthz" | "/metrics") => {
-            Response::text(405, "method not allowed\n").with_header("Allow", "GET, HEAD".into())
-        }
-        (_, "/debug/trace" | "/debug/slow") if shared.config.debug_endpoints => {
+        ("GET" | "HEAD", "/debug/trace", Some(rec)) => handle_debug_trace(rec, request),
+        ("GET" | "HEAD", "/debug/slow", Some(rec)) => Response::text(200, &rec.render_slow_table()),
+        (_, "/random" | "/healthz" | "/metrics", _)
+        | (_, "/debug/trace" | "/debug/slow", Some(_)) => {
             Response::text(405, "method not allowed\n").with_header("Allow", "GET, HEAD".into())
         }
         _ => Response::text(404, "not found\n"),
@@ -614,10 +588,7 @@ fn handle_request(shared: &ServerShared, request: &Request, peer_ip: IpAddr) -> 
 /// `GET /debug/trace?n=N` — Chrome trace-event JSON from the flight
 /// recorder's ring (`?n=` keeps only the most recent N spans). Load it
 /// in `chrome://tracing` or Perfetto.
-fn handle_debug_trace(shared: &ServerShared, request: &Request) -> Response {
-    let Some(rec) = &shared.recorder else {
-        return Response::text(404, "no flight recorder attached\n");
-    };
+fn handle_debug_trace(rec: &FlightRecorder, request: &Request) -> Response {
     let last_n = match request.query_param("n") {
         None => None,
         Some(raw) => match raw.parse::<usize>() {

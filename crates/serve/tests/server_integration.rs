@@ -102,7 +102,7 @@ fn prng_service(queue_bits: usize) -> Arc<RandomnessService> {
         PrngHarvestSource::new(0xBBBB_0002),
     ];
     Arc::new(
-        RandomnessService::with_sources(
+        RandomnessService::with_sources_telemetry(
             sources,
             ServiceConfig {
                 queue_capacity: queue_bits,
@@ -110,6 +110,7 @@ fn prng_service(queue_bits: usize) -> Arc<RandomnessService> {
                 min_entropy: 0.9,
                 ..ServiceConfig::default()
             },
+            None,
         )
         .expect("prng service"),
     )
@@ -212,7 +213,7 @@ fn unknown_paths_and_methods_map_to_404_and_405() {
     let addr = server.local_addr();
 
     assert_eq!(get(addr, "/nope").status, 404);
-    // Debug endpoints are hidden (404, not 405) unless enabled.
+    // Debug endpoints are hidden (404, not 405) without a recorder.
     assert_eq!(get(addr, "/debug/trace").status, 404);
     assert_eq!(get(addr, "/debug/slow").status, 404);
     let resp = roundtrip(
@@ -239,7 +240,7 @@ fn pool_exhaustion_returns_503_with_retry_after() {
     state.throttle();
     let source = ScriptedSource::new(7, Arc::clone(&state), Duration::from_millis(200));
     let service = Arc::new(
-        RandomnessService::with_sources(
+        RandomnessService::with_sources_telemetry(
             vec![source],
             ServiceConfig {
                 queue_capacity: 1 << 15,
@@ -247,6 +248,7 @@ fn pool_exhaustion_returns_503_with_retry_after() {
                 min_entropy: 0.9,
                 ..ServiceConfig::default()
             },
+            None,
         )
         .expect("scripted service"),
     );
@@ -286,7 +288,7 @@ fn degraded_source_flips_healthz_and_the_response_header() {
     let state = ScriptedState::new();
     let source = ScriptedSource::new(11, Arc::clone(&state), Duration::from_millis(1));
     let service = Arc::new(
-        RandomnessService::with_sources(
+        RandomnessService::with_sources_telemetry(
             vec![source],
             ServiceConfig {
                 queue_capacity: 1 << 14,
@@ -294,6 +296,7 @@ fn degraded_source_flips_healthz_and_the_response_header() {
                 min_entropy: 0.9,
                 ..ServiceConfig::default()
             },
+            None,
         )
         .expect("scripted service"),
     );
@@ -425,13 +428,16 @@ fn client_disconnect_mid_request_leaks_nothing() {
 #[test]
 fn debug_endpoints_export_traces_and_request_ids() {
     use drange_core::telemetry::{FlightRecorder, RecorderConfig};
-    let recorder = FlightRecorder::with_config(RecorderConfig::default());
+    // A registry carrying a flight recorder is what turns tracing and
+    // the debug endpoints on.
+    let registry =
+        MetricsRegistry::with_recorder(FlightRecorder::with_config(RecorderConfig::default()));
     let sources = vec![
         PrngHarvestSource::new(0xCCCC_0003),
         PrngHarvestSource::new(0xDDDD_0004),
     ];
     let service = Arc::new(
-        RandomnessService::with_sources_traced(
+        RandomnessService::with_sources_telemetry(
             sources,
             ServiceConfig {
                 queue_capacity: 1 << 16,
@@ -439,20 +445,15 @@ fn debug_endpoints_export_traces_and_request_ids() {
                 min_entropy: 0.9,
                 ..ServiceConfig::default()
             },
-            None,
-            recorder.tracer(),
+            Some(&registry),
         )
         .expect("traced service"),
     );
-    let server = Server::bind_with_recorder(
+    let server = Server::bind(
         "127.0.0.1:0".parse().expect("loopback"),
         Arc::clone(&service),
-        MetricsRegistry::new(),
-        ServerConfig {
-            debug_endpoints: true,
-            ..ServerConfig::default()
-        },
-        Some(recorder),
+        registry,
+        ServerConfig::default(),
     )
     .expect("bind traced server");
     let addr = server.local_addr();
@@ -599,7 +600,7 @@ fn default_source_fast_serves_unannotated_requests_from_the_drbg() {
 fn fast_requests_against_a_disabled_tier_are_client_errors() {
     let sources = vec![PrngHarvestSource::new(0xEEEE_0005)];
     let service = Arc::new(
-        RandomnessService::with_sources(
+        RandomnessService::with_sources_telemetry(
             sources,
             ServiceConfig {
                 queue_capacity: 1 << 16,
@@ -607,6 +608,7 @@ fn fast_requests_against_a_disabled_tier_are_client_errors() {
                 min_entropy: 0.9,
                 drbg: None,
             },
+            None,
         )
         .expect("prng service without conditioning"),
     );

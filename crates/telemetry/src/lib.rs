@@ -23,7 +23,8 @@
 //! * **Tracing** — [`Tracer`]/[`Span`] request spans with the same
 //!   noop-by-default cost model, draining into a bounded
 //!   [`FlightRecorder`] ring with Chrome trace-event JSON and
-//!   slowest-requests exporters (see [`trace`] and [`recorder`]).
+//!   slowest-requests exporters (see [`trace`] and [`recorder`]); a
+//!   [`Stage`] times one region into a histogram and a span at once.
 //!
 //! ## Example
 //!
@@ -55,6 +56,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod registry;
 pub mod reporter;
+pub mod stage;
 mod sync_shim;
 pub mod trace;
 
@@ -66,4 +68,5 @@ pub use metrics::{
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderStats};
 pub use registry::{MetricKind, MetricSample, MetricValue, MetricsRegistry};
 pub use reporter::Reporter;
+pub use stage::Stage;
 pub use trace::{AttrValue, Span, SpanEvent, SpanId, SpanRecord, TraceId, Tracer};

@@ -8,7 +8,7 @@
 //! near nothing when no registry is attached. Handles are `Clone`
 //! (cloning a live handle shares the cell) and `Send + Sync`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::sync_shim::{Arc, AtomicU64, Ordering};
 
@@ -110,12 +110,6 @@ impl Gauge {
 
     pub(crate) fn live(cell: Arc<AtomicU64>) -> Self {
         Gauge { cell: Some(cell) }
-    }
-
-    /// Whether this handle is backed by a registry cell.
-    #[must_use]
-    pub fn is_live(&self) -> bool {
-        self.cell.is_some()
     }
 
     /// Sets the gauge.
@@ -224,6 +218,7 @@ impl Histogram {
 
     /// Whether this handle is backed by a registry cell.
     #[must_use]
+    #[inline]
     pub fn is_live(&self) -> bool {
         self.core.is_some()
     }
@@ -250,8 +245,7 @@ impl Histogram {
     #[inline]
     pub fn observe_since(&self, start: Option<Instant>) {
         if let (Some(core), Some(t0)) = (&self.core, start) {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            core.record(ns);
+            core.record(duration_ns(t0.elapsed()));
         }
     }
 
@@ -364,6 +358,12 @@ impl HistogramSnapshot {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
+}
+
+/// A duration in whole nanoseconds, saturating at `u64::MAX` (~584
+/// years).
+pub(crate) fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Explicitly saturating `f64 → u64` conversion for bucket/quantile

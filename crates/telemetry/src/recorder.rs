@@ -19,8 +19,10 @@
 //! span meets the threshold are kept, plus an unconditional 1-in-N
 //! floor ([`RecorderConfig::sample_one_in`]) so the ring never goes
 //! completely dark between incidents. Sampled-out and overwritten
-//! spans are visible as `drange_trace_*` metrics once
-//! [`FlightRecorder::attach_metrics`] is called.
+//! spans are counted in the recorder's own cells, which
+//! [`FlightRecorder::stats`] reads and a registry built with
+//! [`MetricsRegistry::with_recorder`] exports as `drange_trace_*`
+//! metrics.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -29,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use crate::export::escape_json;
 use crate::metrics::{fmt_ns, Counter};
-use crate::registry::MetricsRegistry;
-use crate::sync_shim::{Arc, Mutex};
+use crate::registry::{MetricKind, MetricsRegistry};
+use crate::sync_shim::{Arc, AtomicU64, Mutex};
 use crate::trace::{AttrValue, SpanRecord, TraceId, Tracer};
 
 /// Flight-recorder tuning. The defaults (4096 spans, keep every trace)
@@ -60,7 +62,8 @@ impl Default for RecorderConfig {
     }
 }
 
-/// Point-in-time recorder accounting, also exported as metrics.
+/// Point-in-time recorder accounting, read from the same cells the
+/// `drange_trace_*` metrics export.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecorderStats {
     /// Spans currently held in the ring.
@@ -83,19 +86,10 @@ struct SlowEntry {
     attrs: Vec<(&'static str, AttrValue)>,
 }
 
-#[derive(Default)]
-struct RecorderMetrics {
-    recorded: Counter,
-    dropped: Counter,
-    sampled_out: Counter,
-}
-
 struct RingState {
     ring: VecDeque<SpanRecord>,
     slowest: Vec<SlowEntry>,
-    stats: RecorderStats,
     sample_tick: u64,
-    metrics: RecorderMetrics,
 }
 
 /// Shared recorder internals; [`Tracer`]s hold an `Arc` to this.
@@ -103,6 +97,12 @@ pub(crate) struct RecorderCore {
     epoch: Instant,
     config: RecorderConfig,
     state: Mutex<RingState>,
+    /// Spans accepted into the ring, ever.
+    recorded: Counter,
+    /// Spans overwritten (ring full) or discarded (per-trace cap).
+    dropped: Counter,
+    /// Whole traces discarded by the latency-threshold sampler.
+    sampled_out: Counter,
 }
 
 /// Locks a recorder's ring state, riding through poisoning (a panicked
@@ -117,9 +117,7 @@ macro_rules! lock_state {
 impl RecorderCore {
     /// Counts spans lost to the per-trace buffer cap.
     pub(crate) fn count_overflow(&self, n: u64) {
-        let mut state = lock_state!(self);
-        state.stats.dropped_spans += n;
-        state.metrics.dropped.add(n);
+        self.dropped.add(n);
     }
 
     /// Accepts one finished trace: applies the sampling policy, then
@@ -143,8 +141,7 @@ impl RecorderCore {
             }
         };
         if !keep {
-            state.stats.sampled_out_traces += 1;
-            state.metrics.sampled_out.inc();
+            self.sampled_out.inc();
             return;
         }
         let span_count = spans.len();
@@ -179,11 +176,8 @@ impl RecorderCore {
             state.ring.push_back(rec);
             accepted += 1;
         }
-        state.stats.recorded_spans += accepted;
-        state.stats.dropped_spans += overwritten;
-        state.stats.ring_spans = state.ring.len();
-        state.metrics.recorded.add(accepted);
-        state.metrics.dropped.add(overwritten);
+        self.recorded.add(accepted);
+        self.dropped.add(overwritten);
     }
 }
 
@@ -228,10 +222,11 @@ impl FlightRecorder {
                 state: Mutex::new(RingState {
                     ring: VecDeque::new(),
                     slowest: Vec::new(),
-                    stats: RecorderStats::default(),
                     sample_tick: 0,
-                    metrics: RecorderMetrics::default(),
                 }),
+                recorded: Counter::live(Arc::new(AtomicU64::new(0))),
+                dropped: Counter::live(Arc::new(AtomicU64::new(0))),
+                sampled_out: Counter::live(Arc::new(AtomicU64::new(0))),
             }),
         }
     }
@@ -242,31 +237,34 @@ impl FlightRecorder {
         Tracer::attached(Arc::clone(&self.core))
     }
 
-    /// Registers the recorder's loss accounting as counters
+    /// Exports the recorder's loss accounting cells on `registry`
     /// (`drange_trace_spans_recorded_total`,
     /// `drange_trace_spans_dropped_total`,
-    /// `drange_trace_traces_sampled_out_total`) on `registry`.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        let mut state = lock_state!(self.core);
-        state.metrics = RecorderMetrics {
-            recorded: registry.counter("drange_trace_spans_recorded_total", &[]),
-            dropped: registry.counter("drange_trace_spans_dropped_total", &[]),
-            sampled_out: registry.counter("drange_trace_traces_sampled_out_total", &[]),
-        };
-        // Re-publish losses from before attachment so the series never
-        // under-reports.
-        state.metrics.recorded.add(state.stats.recorded_spans);
-        state.metrics.dropped.add(state.stats.dropped_spans);
-        state
-            .metrics
-            .sampled_out
-            .add(state.stats.sampled_out_traces);
+    /// `drange_trace_traces_sampled_out_total`); see
+    /// [`MetricsRegistry::with_recorder`].
+    pub(crate) fn export(&self, registry: &MetricsRegistry) {
+        for (name, cell) in [
+            ("drange_trace_spans_recorded_total", &self.core.recorded),
+            ("drange_trace_spans_dropped_total", &self.core.dropped),
+            (
+                "drange_trace_traces_sampled_out_total",
+                &self.core.sampled_out,
+            ),
+        ] {
+            let cell = cell.clone();
+            registry.export(MetricKind::Counter, name, &[], move || cell.get());
+        }
     }
 
     /// Current accounting snapshot.
     #[must_use]
     pub fn stats(&self) -> RecorderStats {
-        lock_state!(self.core).stats
+        RecorderStats {
+            ring_spans: lock_state!(self.core).ring.len(),
+            recorded_spans: self.core.recorded.get(),
+            dropped_spans: self.core.dropped.get(),
+            sampled_out_traces: self.core.sampled_out.get(),
+        }
     }
 
     /// Copies the ring contents, oldest span first (tests and ad-hoc
@@ -520,32 +518,28 @@ mod tests {
     }
 
     #[test]
-    fn attach_metrics_republishes_prior_losses() {
+    fn stats_and_the_exported_series_read_the_same_cells() {
         let recorder = FlightRecorder::with_config(RecorderConfig {
             capacity: 1,
             ..RecorderConfig::default()
         });
-        record_trace(&recorder, "req", 1); // 1 kept, 1 overwritten
-        let registry = MetricsRegistry::new();
-        recorder.attach_metrics(&registry);
-        assert_eq!(
-            registry
-                .counter("drange_trace_spans_recorded_total", &[])
-                .get(),
-            2
-        );
-        assert_eq!(
-            registry
-                .counter("drange_trace_spans_dropped_total", &[])
-                .get(),
-            1
-        );
+        record_trace(&recorder, "req", 1); // 2 recorded, 1 overwritten
+        let registry = MetricsRegistry::with_recorder(recorder.clone());
         record_trace(&recorder, "req", 0);
-        assert_eq!(
-            registry
-                .counter("drange_trace_spans_recorded_total", &[])
-                .get(),
-            3
+        let stats = recorder.stats();
+        assert_eq!((stats.recorded_spans, stats.dropped_spans), (3, 2));
+        let text = registry.render_prometheus();
+        assert!(
+            text.contains("drange_trace_spans_recorded_total 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("drange_trace_spans_dropped_total 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("drange_trace_traces_sampled_out_total 0"),
+            "{text}"
         );
     }
 

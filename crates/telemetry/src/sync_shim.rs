@@ -15,13 +15,13 @@
 #[cfg(loom)]
 pub(crate) use loomlite::sync::atomic::{AtomicU64, Ordering};
 #[cfg(loom)]
-pub(crate) use loomlite::sync::{Arc, Condvar, Mutex};
+pub(crate) use loomlite::sync::{Arc, Condvar, Mutex, MutexGuard};
 #[cfg(loom)]
 pub(crate) use loomlite::thread;
 
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(loom))]
-pub(crate) use std::sync::{Arc, Condvar, Mutex};
+pub(crate) use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 #[cfg(not(loom))]
 pub(crate) use std::thread;

@@ -218,6 +218,7 @@ impl Tracer {
 
     /// Whether spans from this tracer record anywhere.
     #[must_use]
+    #[inline]
     pub fn is_live(&self) -> bool {
         self.core.is_some()
     }
@@ -244,7 +245,7 @@ impl Tracer {
     #[must_use]
     #[inline]
     pub fn span(&self, name: &'static str) -> Span {
-        self.start(name, None)
+        self.start_at(name, None, self.clock())
     }
 
     /// Starts a root span under a caller-minted trace id (the HTTP
@@ -254,12 +255,19 @@ impl Tracer {
     #[must_use]
     #[inline]
     pub fn root_span(&self, name: &'static str, trace: TraceId) -> Span {
-        self.start(name, Some(trace))
+        self.start_at(name, Some(trace), self.clock())
     }
 
+    /// Starts a span at an instant the caller already read (`None`, or
+    /// a noop tracer, gives an inert span).
     #[inline]
-    fn start(&self, name: &'static str, root_trace: Option<TraceId>) -> Span {
-        let Some(core) = &self.core else {
+    pub(crate) fn start_at(
+        &self,
+        name: &'static str,
+        root_trace: Option<TraceId>,
+        start: Option<Instant>,
+    ) -> Span {
+        let (Some(core), Some(start)) = (&self.core, start) else {
             return Span {
                 inner: None,
                 _not_send: PhantomData,
@@ -284,7 +292,7 @@ impl Tracer {
                     parent,
                     name,
                     thread: thread_id(),
-                    start: Instant::now(),
+                    start,
                     duration: Duration::ZERO,
                     attrs: Vec::new(),
                     events: Vec::new(),
@@ -416,6 +424,36 @@ impl Span {
         }
     }
 
+    /// Ends the span at an instant the caller already read.
+    pub(crate) fn end_at(&mut self, end: Instant) {
+        let Some(mut s) = self.inner.take() else {
+            return;
+        };
+        s.rec.duration = end.saturating_duration_since(s.rec.start);
+        CONTEXT.with(|ctx| {
+            let mut ctx = ctx.borrow_mut();
+            // Pop *this* span if it is the top of the stack. Out-of-
+            // order drops (a child outliving its parent) pop down to
+            // and including this span so the stack cannot leak.
+            while let Some(&(_, top)) = ctx.last() {
+                ctx.pop();
+                if top == s.rec.span {
+                    break;
+                }
+            }
+        });
+        let is_root = s.rec.parent.is_none();
+        let root_duration = s.rec.duration;
+        let overflowed = !buffer_record(s.rec);
+        if overflowed {
+            s.core.count_overflow(1);
+        }
+        if is_root {
+            let spans = TRACE_BUF.with(|buf| std::mem::take(&mut *buf.borrow_mut()));
+            s.core.finish_trace(spans, root_duration);
+        }
+    }
+
     /// Records an already-elapsed region as a *completed child* of this
     /// span, from `start` (obtained via [`Tracer::clock`]) to now.
     /// Covers regions that end before a span guard can exist — e.g.
@@ -457,31 +495,8 @@ fn buffer_record(rec: SpanRecord) -> bool {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        let Some(mut s) = self.inner.take() else {
-            return;
-        };
-        s.rec.duration = s.rec.start.elapsed();
-        CONTEXT.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            // Pop *this* span if it is the top of the stack. Out-of-
-            // order drops (a child outliving its parent) pop down to
-            // and including this span so the stack cannot leak.
-            while let Some(&(_, top)) = ctx.last() {
-                ctx.pop();
-                if top == s.rec.span {
-                    break;
-                }
-            }
-        });
-        let is_root = s.rec.parent.is_none();
-        let root_duration = s.rec.duration;
-        let overflowed = !buffer_record(s.rec);
-        if overflowed {
-            s.core.count_overflow(1);
-        }
-        if is_root {
-            let spans = TRACE_BUF.with(|buf| std::mem::take(&mut *buf.borrow_mut()));
-            s.core.finish_trace(spans, root_duration);
+        if self.inner.is_some() {
+            self.end_at(Instant::now());
         }
     }
 }

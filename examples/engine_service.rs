@@ -46,8 +46,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two simulated channels, each harvested by its own worker thread.
     // Everything registers into one metrics registry: the controllers'
     // command counters, the engine's stage histograms, and the
-    // service's request counters.
-    let registry = MetricsRegistry::new();
+    // service's request counters. The registry carries a flight
+    // recorder, which turns the span instrumentation live: worker
+    // batches and client requests land in its ring buffer, and its
+    // drop/sampling counters surface as drange_trace_* series.
+    let recorder = FlightRecorder::new();
+    let registry = MetricsRegistry::with_recorder(recorder.clone());
     let sources = channel_sources_with_telemetry(
         &base,
         &catalog,
@@ -55,16 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         2,
         Some(&registry),
     )?;
-    // The flight recorder turns the span instrumentation live: worker
-    // batches and client requests land in its ring buffer, and the
-    // drop/sampling counters surface as drange_trace_* series.
-    let recorder = FlightRecorder::new();
-    recorder.attach_metrics(&registry);
-    let service = RandomnessService::with_sources_traced(
+    let service = RandomnessService::with_sources_telemetry(
         sources,
         ServiceConfig::default(),
         Some(&registry),
-        recorder.tracer(),
     )?;
 
     // A background reporter logs a one-line summary while clients run.

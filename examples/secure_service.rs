@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let catalog = RngCellCatalog::identify(&mut ctrl, &profile, IdentifySpec::default())?;
     let trng = DRange::new(ctrl, &catalog, DRangeConfig::default())?;
-    let service = RandomnessService::new(trng, ServiceConfig::default())?;
+    let service =
+        RandomnessService::with_sources_telemetry(vec![trng], ServiceConfig::default(), None)?;
 
     // Applications file requests...
     let tls_key = service.request(32)?;

@@ -44,7 +44,7 @@ fn service_fulfills_interleaved_requests() {
         low_watermark: 512,
         ..Default::default()
     };
-    let service = RandomnessService::new(trng, config).expect("svc");
+    let service = RandomnessService::with_sources_telemetry(vec![trng], config, None).expect("svc");
 
     let ids: Vec<_> = (1..=5)
         .map(|i| service.request(i * 8).expect("req"))
@@ -67,7 +67,9 @@ fn service_fulfills_interleaved_requests() {
 fn service_output_is_statistically_plausible() {
     let (ctrl, catalog) = pipeline(0xB17E, 8);
     let trng = DRange::new(ctrl, &catalog, DRangeConfig::default()).expect("plan");
-    let service = RandomnessService::new(trng, ServiceConfig::default()).expect("svc");
+    let service =
+        RandomnessService::with_sources_telemetry(vec![trng], ServiceConfig::default(), None)
+            .expect("svc");
     let id = service.request(4096).expect("req");
     let bytes = service.wait_receive(id).expect("serve");
     let ones: u32 = bytes.iter().map(|b| b.count_ones()).sum();
@@ -84,7 +86,9 @@ fn service_serves_concurrent_clients() {
     // between clients.
     let (ctrl, catalog) = pipeline(0x7A11, 8);
     let trng = DRange::new(ctrl, &catalog, DRangeConfig::default()).expect("plan");
-    let service = RandomnessService::new(trng, ServiceConfig::default()).expect("svc");
+    let service =
+        RandomnessService::with_sources_telemetry(vec![trng], ServiceConfig::default(), None)
+            .expect("svc");
 
     std::thread::scope(|scope| {
         let mut clients = Vec::new();
