@@ -23,7 +23,6 @@
 //! | `engine_scaling` | Sections 6.2/7.3 — multi-channel engine throughput sweep (1–8 workers) |
 //! | `telemetry_overhead` | no-op-handle cost check: bare vs noop vs live instrumentation |
 //! | `diehard_battery` | DIEHARD-style battery on D-RaNGe output |
-//! | `server_load` | `drange-serve` under 1k+ concurrent HTTP clients (req/s, p50/p95/p99) |
 //!
 //! Every binary accepts `--full` for paper-scale runs and defaults to a
 //! quick configuration that completes in seconds. This library hosts

@@ -1,8 +1,10 @@
 //! Machine-readable benchmark reports (`BENCH_harvest.json`).
 //!
-//! The workspace has no JSON dependency, so this module hand-rolls the
-//! one shape the benches need: a flat two-level object mapping section
-//! names to `{key: number}` metric maps. Several binaries share one
+//! The workspace has no JSON dependency, so this module writes the one
+//! shape the benches need by hand — a flat two-level object mapping
+//! section names to `{key: number}` metric maps — and reads it back
+//! through the workspace's one JSON reader (`xtask::json`, shared with
+//! `cargo xtask bench-gate` and `check-trace`). Several binaries share one
 //! report file — [`BenchReport::update_file`] merges key by key, so
 //! `fig8_throughput` and `engine_scaling` can both contribute to a
 //! shared `simd` section without the later run clobbering the earlier
@@ -13,6 +15,8 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+
+use xtask::json::{self, Json};
 
 /// Default location of the shared report file: `$DRANGE_BENCH_REPORT`
 /// if set, otherwise `BENCH_harvest.json` in the current directory
@@ -133,67 +137,28 @@ impl BenchReport {
 
     /// Parses JSON previously produced by [`BenchReport::to_json`]
     /// (flat two-level object, numeric or null leaves — null leaves are
-    /// dropped). Returns `None` on any structural mismatch.
+    /// dropped) with the workspace's JSON reader. Returns `None` on any
+    /// syntax error or structural mismatch.
     pub fn from_json(text: &str) -> Option<BenchReport> {
-        let mut p = Parser {
-            chars: text.chars().collect(),
-            pos: 0,
+        let Json::Object(top) = json::parse(text).ok()? else {
+            return None;
         };
         let mut report = BenchReport::new();
-        p.skip_ws();
-        p.eat('{')?;
-        p.skip_ws();
-        if p.peek() == Some('}') {
-            p.eat('}')?;
-            return Some(report);
-        }
-        loop {
-            p.skip_ws();
-            let section = p.string()?;
-            p.skip_ws();
-            p.eat(':')?;
-            p.skip_ws();
-            p.eat('{')?;
-            p.skip_ws();
-            if p.peek() == Some('}') {
-                p.eat('}')?;
-                // Preserve empty sections so merge semantics see them.
-                if !report.sections.iter().any(|(s, _)| *s == section) {
-                    report.sections.push((section.clone(), Vec::new()));
-                }
-            } else {
-                loop {
-                    p.skip_ws();
-                    let key = p.string()?;
-                    p.skip_ws();
-                    p.eat(':')?;
-                    p.skip_ws();
-                    if let Some(v) = p.number_or_null()? {
-                        report.set(&section, &key, v);
-                    } else if !report.sections.iter().any(|(s, _)| *s == section) {
-                        report.sections.push((section.clone(), Vec::new()));
-                    }
-                    p.skip_ws();
-                    match p.next() {
-                        Some(',') => continue,
-                        Some('}') => break,
-                        _ => return None,
-                    }
+        for (section, entries) in top.iter() {
+            let Json::Object(entries) = entries else {
+                return None;
+            };
+            // Empty sections are kept so merge semantics see them.
+            report.sections.push((section.to_string(), Vec::new()));
+            for (key, value) in entries.iter() {
+                match value {
+                    Json::Number(v) => report.set(section, key, *v),
+                    Json::Null => {}
+                    _ => return None,
                 }
             }
-            p.skip_ws();
-            match p.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                _ => return None,
-            }
         }
-        p.skip_ws();
-        if p.pos == p.chars.len() {
-            Some(report)
-        } else {
-            None
-        }
+        Some(report)
     }
 
     /// Merges this report's sections over whatever `path` already holds
@@ -222,77 +187,6 @@ fn escape(s: &str) -> String {
             c => vec![c],
         })
         .collect()
-}
-
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, want: char) -> Option<()> {
-        if self.next()? == want {
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.next()? {
-                '"' => return Some(out),
-                '\\' => match self.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + self.next()?.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    /// `Some(Some(v))` for a number, `Some(None)` for `null`, `None`
-    /// for anything else.
-    fn number_or_null(&mut self) -> Option<Option<f64>> {
-        if self.peek() == Some('n') {
-            for want in ['n', 'u', 'l', 'l'] {
-                self.eat(want)?;
-            }
-            return Some(None);
-        }
-        let start = self.pos;
-        while matches!(self.peek(), Some('0'..='9' | '-' | '+' | '.' | 'e' | 'E')) {
-            self.pos += 1;
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        text.parse::<f64>().ok().map(Some)
-    }
 }
 
 #[cfg(test)]

@@ -31,10 +31,11 @@ pub struct DRangeConfig {
     /// Banks never used for sampling (e.g. reserved for a co-resident
     /// retention TRNG, Section 8.4's combined design).
     pub exclude_banks: Vec<usize>,
-    /// Size of the harvested-bit queue the controller firmware keeps
-    /// (Section 6.3).
-    pub queue_capacity: usize,
 }
+
+/// Least bound of the harvested-bit queue the controller firmware
+/// keeps (Section 6.3); see [`DRange::queue_bound`].
+const QUEUE_MIN_BITS: usize = 4096;
 
 impl Default for DRangeConfig {
     fn default() -> Self {
@@ -43,7 +44,6 @@ impl Default for DRangeConfig {
             pattern: DataPattern::Solid0,
             banks: None,
             exclude_banks: Vec::new(),
-            queue_capacity: 4096,
         }
     }
 }
@@ -196,11 +196,6 @@ impl DRange {
     ) -> Result<Self> {
         if !config.trcd_ns.is_finite() || config.trcd_ns <= 0.0 {
             return Err(DrangeError::InvalidSpec("tRCD must be positive".into()));
-        }
-        if config.queue_capacity == 0 {
-            return Err(DrangeError::InvalidSpec(
-                "queue capacity must be nonzero".into(),
-            ));
         }
         let geometry = ctrl.device().geometry();
         let ranked = catalog.ranked_banks(geometry.banks);
@@ -513,7 +508,7 @@ impl DRange {
         self.stats.iterations += 1;
         self.stats.device_time_ps += self.ctrl.now_ps() - t0;
         // Respect the firmware queue bound (drop the oldest bits).
-        let over = self.queue.len().saturating_sub(self.config.queue_capacity);
+        let over = self.queue.len().saturating_sub(self.queue_bound());
         if over > 0 {
             self.queue.drop_front(over);
         }
@@ -537,15 +532,14 @@ impl DRange {
         self.ctrl.device().sense_cache_stats()
     }
 
-    /// Whether draining `n` bits at once from the queue yields the same
-    /// stream as the historical bit-at-a-time drain. Bulk draining may
-    /// leave up to `n − 1` bits queued before a sampling pass tops it
-    /// up, so the queue bound must absorb `bits_per_iteration + n − 1`
-    /// without trimming (a trim would drop bits the per-bit path, which
-    /// only samples on an empty queue, would have delivered).
-    fn bulk_ok(&self, n: usize) -> bool {
-        self.config.queue_capacity >= n
-            && self.bits_per_iteration + n - 1 <= self.config.queue_capacity
+    /// Bits the harvested-bit queue holds before its oldest are
+    /// dropped: at least 4096, and always one pass plus 63 bits. A
+    /// 64-bit drain may leave up to 63 bits queued before a pass tops
+    /// the queue up, so that pass never trims a bit a bit-at-a-time
+    /// consumer would have seen, and the word and byte drains deliver
+    /// the same stream as [`DRange::next_bit`].
+    fn queue_bound(&self) -> usize {
+        (self.bits_per_iteration + 63).max(QUEUE_MIN_BITS)
     }
 
     /// Harvests until at least `bits` random bits are queued
@@ -555,10 +549,10 @@ impl DRange {
     ///
     /// Propagates controller errors.
     pub fn ensure_bits(&mut self, bits: usize) -> Result<()> {
-        if bits > self.config.queue_capacity {
+        let bound = self.queue_bound();
+        if bits > bound {
             return Err(DrangeError::InvalidSpec(format!(
-                "request of {bits} bits exceeds queue capacity {}",
-                self.config.queue_capacity
+                "request of {bits} bits exceeds queue capacity {bound}"
             )));
         }
         while self.queue.len() < bits {
@@ -594,66 +588,35 @@ impl DRange {
         Ok(out)
     }
 
-    /// The next random `u64`, drained in bulk from the packed queue
-    /// when the queue bound allows (falling back to the historical
-    /// bit-at-a-time path otherwise, with an identical output stream).
+    /// The next random `u64`, drained in bulk from the packed queue.
     ///
     /// # Errors
     ///
     /// Propagates controller errors.
     pub fn next_word(&mut self) -> Result<u64> {
-        if self.bulk_ok(64) {
-            self.ensure_bits(64)?;
-            if let Some(w) = self.queue.pop_word() {
-                return Ok(w);
-            }
-        }
-        let mut v = 0u64;
-        for _ in 0..64 {
-            v = (v << 1) | u64::from(self.next_bit()?);
-        }
-        Ok(v)
+        self.ensure_bits(64)?;
+        self.queue
+            .pop_word()
+            .ok_or_else(|| DrangeError::NoRngCells("sampling pass produced no bits".into()))
     }
 
     /// Fills a byte buffer with random data, draining whole words and
-    /// bytes from the packed queue when the queue bound allows.
+    /// bytes from the packed queue.
     ///
     /// # Errors
     ///
     /// Propagates controller errors.
     pub fn try_fill(&mut self, buf: &mut [u8]) -> Result<()> {
-        if self.bulk_ok(64) {
-            let mut chunks = buf.chunks_exact_mut(8);
-            for chunk in &mut chunks {
-                self.ensure_bits(64)?;
-                match self.queue.pop_word() {
-                    Some(w) => chunk.copy_from_slice(&w.to_be_bytes()),
-                    None => {
-                        return Err(DrangeError::NoRngCells(
-                            "sampling pass produced no bits".into(),
-                        ))
-                    }
-                }
-            }
-            for byte in chunks.into_remainder() {
-                self.ensure_bits(8)?;
-                match self.queue.pop_byte() {
-                    Some(b) => *byte = b,
-                    None => {
-                        return Err(DrangeError::NoRngCells(
-                            "sampling pass produced no bits".into(),
-                        ))
-                    }
-                }
-            }
-            return Ok(());
+        let mut chunks = buf.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&self.next_word()?.to_be_bytes());
         }
-        for byte in buf.iter_mut() {
-            let mut b = 0u8;
-            for _ in 0..8 {
-                b = (b << 1) | u8::from(self.next_bit()?);
-            }
-            *byte = b;
+        for byte in chunks.into_remainder() {
+            self.ensure_bits(8)?;
+            *byte = self
+                .queue
+                .pop_byte()
+                .ok_or_else(|| DrangeError::NoRngCells("sampling pass produced no bits".into()))?;
         }
         Ok(())
     }
@@ -921,25 +884,6 @@ mod tests {
             *byte = x;
         }
         assert_eq!(buf, want);
-    }
-
-    #[test]
-    fn tiny_queue_capacity_falls_back_to_per_bit_path() {
-        let mut g = DRange::new(
-            fresh_ctrl(),
-            catalog(),
-            DRangeConfig {
-                queue_capacity: 16,
-                ..DRangeConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!g.bulk_ok(64));
-        let a = g.next_word().unwrap();
-        let b = g.next_word().unwrap();
-        assert_ne!(a, b, "two 64-bit draws should differ (p = 2^-64)");
-        let mut buf = [0u8; 9];
-        g.try_fill(&mut buf).unwrap();
     }
 
     #[test]

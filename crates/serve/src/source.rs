@@ -2,8 +2,8 @@
 //!
 //! The server is source-agnostic — production deployments wrap the
 //! simulated DRAM channels ([`drange_core::channel_sources`]) — but
-//! integration tests, CI smoke runs, and the `server_load` bench need
-//! sources that are fast, deterministic, and scriptable:
+//! integration tests and CI smoke runs need sources that are fast,
+//! deterministic, and scriptable:
 //!
 //! * [`PrngHarvestSource`] — a splitmix64 bit firehose whose output
 //!   passes the engine's health screening, for measuring the *server*

@@ -8,6 +8,7 @@
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -190,6 +191,74 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     drop(stream);
     server.shutdown();
     assert_eq!(service.outstanding_requests(), 0);
+}
+
+#[test]
+fn a_busy_keep_alive_connection_rotates_so_a_queued_one_is_served() {
+    // One worker, kept busy by connection A's back-to-back keep-alive
+    // requests. After each response the worker must hand A back to the
+    // queue when another connection waits there, so B's request is
+    // answered while A is still open and sending, not once A's session
+    // ends.
+    let keep_alive = Duration::from_secs(5);
+    let service = prng_service(1 << 16);
+    let server = boot(
+        Arc::clone(&service),
+        ServerConfig {
+            worker_threads: 1,
+            keep_alive,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let served_a = Arc::new(AtomicUsize::new(0));
+    let client_a = {
+        let (stop, served_a) = (Arc::clone(&stop), Arc::clone(&served_a));
+        let mut a = TcpStream::connect(addr).expect("connect A");
+        a.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        thread::spawn(move || {
+            // Without rotation B waits until A gives up and closes.
+            let give_up = Instant::now() + 2 * keep_alive;
+            while !stop.load(Ordering::SeqCst) && Instant::now() < give_up {
+                a.write_all(b"GET /random?bytes=8 HTTP/1.1\r\nHost: a\r\n\r\n")
+                    .expect("write A");
+                assert_eq!(read_response(&mut a).status, 200);
+                served_a.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    while served_a.load(Ordering::SeqCst) == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    let sent = Instant::now();
+    let mut b = TcpStream::connect(addr).expect("connect B");
+    b.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    b.write_all(b"GET /random?bytes=8 HTTP/1.1\r\nHost: b\r\nConnection: close\r\n\r\n")
+        .expect("write B");
+    let resp = read_response(&mut b);
+    let waited = sent.elapsed();
+    let served_a_before_b = served_a.load(Ordering::SeqCst);
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body.len(), 8);
+    assert!(
+        waited < keep_alive / 5,
+        "B waited {waited:?} behind A's keep-alive session"
+    );
+
+    // A is still open and is served again after B.
+    let deadline = Instant::now() + keep_alive;
+    while served_a.load(Ordering::SeqCst) == served_a_before_b {
+        assert!(Instant::now() < deadline, "A was not served after B");
+        thread::sleep(Duration::from_millis(1));
+    }
+    stop.store(true, Ordering::SeqCst);
+    client_a.join().expect("client A");
+    server.shutdown();
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //! * [`FlightRecorder::render_chrome_trace`] — Chrome trace-event JSON
 //!   (`chrome://tracing` / Perfetto `Open trace file`).
 //! * [`FlightRecorder::render_slow_table`] — a human `slowest-N`
-//!   table of root-span exemplars, cheapest triage first.
+//!   table of request roots (roots opened under a caller-minted id,
+//!   [`Tracer::root_span`]), cheapest triage first.
 //!
 //! A latency-threshold sampler bounds steady-state cost further: with
 //! [`RecorderConfig::latency_threshold`] set, only traces whose root
@@ -41,7 +42,8 @@ use crate::trace::{AttrValue, SpanRecord, TraceId, Tracer};
 pub struct RecorderConfig {
     /// Ring capacity in spans; the oldest spans are overwritten first.
     pub capacity: usize,
-    /// Root-span exemplars kept for the slowest-requests table.
+    /// Request roots kept for the slowest-requests table (roots
+    /// opened under a caller-minted id; other roots are not ranked).
     pub slow_capacity: usize,
     /// Keep only traces whose root span lasted at least this long
     /// (`None`: keep every trace).
@@ -76,7 +78,8 @@ pub struct RecorderStats {
     pub sampled_out_traces: u64,
 }
 
-/// One slowest-requests exemplar: the root span of a kept trace.
+/// One slowest-requests exemplar: the root span of a kept request
+/// trace.
 #[derive(Debug, Clone)]
 struct SlowEntry {
     trace: TraceId,
@@ -121,9 +124,15 @@ impl RecorderCore {
     }
 
     /// Accepts one finished trace: applies the sampling policy, then
-    /// pushes every span into the ring (overwriting the oldest) and
-    /// updates the slowest-roots exemplars.
-    pub(crate) fn finish_trace(&self, spans: Vec<SpanRecord>, root_duration: Duration) {
+    /// pushes every span into the ring (overwriting the oldest) and,
+    /// for a `request` trace (rooted under a caller-minted id), updates
+    /// the slowest-requests exemplars.
+    pub(crate) fn finish_trace(
+        &self,
+        spans: Vec<SpanRecord>,
+        root_duration: Duration,
+        request: bool,
+    ) {
         if spans.is_empty() {
             return;
         }
@@ -145,7 +154,8 @@ impl RecorderCore {
             return;
         }
         let span_count = spans.len();
-        if let Some(root) = spans.iter().rfind(|s| s.parent.is_none()) {
+        let root = spans.iter().rfind(|s| s.parent.is_none());
+        if let Some(root) = root.filter(|_| request) {
             let entry = SlowEntry {
                 trace: root.trace,
                 name: root.name,
@@ -330,7 +340,7 @@ impl FlightRecorder {
         out
     }
 
-    /// Renders the slowest kept root spans as a text table, slowest
+    /// Renders the slowest kept request roots as a text table, slowest
     /// first.
     #[must_use]
     pub fn render_slow_table(&self) -> String {
@@ -506,7 +516,7 @@ mod tests {
             rec.duration = Duration::from_millis(ms);
             recorder
                 .core
-                .finish_trace(vec![rec], Duration::from_millis(ms));
+                .finish_trace(vec![rec], Duration::from_millis(ms), true);
         }
         let table = recorder.render_slow_table();
         let lines: Vec<&str> = table.lines().collect();
@@ -515,6 +525,37 @@ mod tests {
         assert!(lines[2].contains("c peer="), "{table}");
         assert_eq!(lines.len(), 3, "slow_capacity bounds the table: {table}");
         assert!(table.contains("peer=127.0.0.1"));
+    }
+
+    #[test]
+    fn slow_table_ranks_request_roots_only() {
+        let recorder = FlightRecorder::with_config(RecorderConfig {
+            slow_capacity: 2,
+            ..RecorderConfig::default()
+        });
+        let tracer = recorder.tracer();
+        let request = record_trace(&recorder, "serve.request", 0);
+        let request_took = recorder.records()[0].duration;
+        // Flood with plain roots (the engine's per-batch traces), each
+        // slower than the request: none may displace it.
+        for _ in 0..4 {
+            let _batch = tracer.span("engine.batch");
+            std::thread::sleep(request_took + Duration::from_millis(1));
+        }
+        let table = recorder.render_slow_table();
+        assert_eq!(table.lines().count(), 2, "header + the request: {table}");
+        assert!(
+            table.contains(&format!("{request}  serve.request")),
+            "{table}"
+        );
+        assert!(!table.contains("engine.batch"), "{table}");
+        // Plain roots still land in the ring.
+        let batches = recorder
+            .records()
+            .iter()
+            .filter(|r| r.name == "engine.batch")
+            .count();
+        assert_eq!(batches, 4);
     }
 
     #[test]

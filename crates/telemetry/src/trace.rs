@@ -250,8 +250,9 @@ impl Tracer {
 
     /// Starts a root span under a caller-minted trace id (the HTTP
     /// server mints the id up front so `X-Drange-Request-Id` exists
-    /// even when tracing is off). Behaves as [`Tracer::span`] when a
-    /// context is already active on this thread.
+    /// even when tracing is off). Only such roots are ranked in the
+    /// recorder's slowest-requests table. Behaves as [`Tracer::span`]
+    /// when a context is already active on this thread.
     #[must_use]
     #[inline]
     pub fn root_span(&self, name: &'static str, trace: TraceId) -> Span {
@@ -286,6 +287,7 @@ impl Tracer {
         Span {
             inner: Some(Box::new(SpanInner {
                 core: Arc::clone(core),
+                request: parent.is_none() && root_trace.is_some(),
                 rec: SpanRecord {
                     trace,
                     span,
@@ -305,6 +307,9 @@ impl Tracer {
 
 struct SpanInner {
     core: Arc<RecorderCore>,
+    /// A root opened under a caller-minted id: a request, ranked in
+    /// the slowest-requests table.
+    request: bool,
     rec: SpanRecord,
 }
 
@@ -450,7 +455,7 @@ impl Span {
         }
         if is_root {
             let spans = TRACE_BUF.with(|buf| std::mem::take(&mut *buf.borrow_mut()));
-            s.core.finish_trace(spans, root_duration);
+            s.core.finish_trace(spans, root_duration, s.request);
         }
     }
 

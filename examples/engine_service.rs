@@ -7,7 +7,7 @@
 //! The engine runs with a flight recorder attached, so alongside the
 //! aggregate metrics every request leaves a trace: client-side spans
 //! nest over the service's internal ones, and the run ends by printing
-//! the recorder's slowest-trace table.
+//! the recorder's slowest-requests table.
 //!
 //! ```sh
 //! cargo run --release --example engine_service
@@ -21,7 +21,7 @@ use d_range::drange::{
     RandomnessService, RngCellCatalog, ServiceConfig,
 };
 use d_range::memctrl::MemoryController;
-use d_range::telemetry::{FlightRecorder, MetricsRegistry, Reporter};
+use d_range::telemetry::{FlightRecorder, MetricsRegistry, Reporter, TraceId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One profiling + identification pass; the catalog is valid for
@@ -71,16 +71,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // Four application threads file and collect requests concurrently.
-    // Each round opens a client-side root span; the service's own
-    // service.request / service.wait spans nest under it, giving each
-    // round a complete client-to-engine trace.
+    // Each round opens a client-side root span under its own request
+    // id, which ranks it in the recorder's slowest-requests table; the
+    // service's own service.request / service.wait spans nest under
+    // it, giving each round a complete client-to-engine trace.
     std::thread::scope(|scope| {
         for client in 0..4usize {
             let service = &service;
             let tracer = service.tracer().clone();
             scope.spawn(move || {
                 for round in 0..3usize {
-                    let mut span = tracer.span("client.round");
+                    let mut span = tracer.root_span("client.round", TraceId::next());
                     span.attr_u64("client", client as u64);
                     span.attr_u64("round", round as u64);
                     let len = 16 + 8 * client + round;
@@ -122,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let trace_stats = recorder.stats();
     println!(
-        "\nflight recorder: {} spans kept ({} dropped); slowest traces:",
+        "\nflight recorder: {} spans kept ({} dropped); slowest requests:",
         trace_stats.recorded_spans, trace_stats.dropped_spans
     );
     print!("{}", recorder.render_slow_table());

@@ -5,10 +5,11 @@
 //! bench run overwrites it) and exits non-zero when any gate fails:
 //!
 //! * `fig8_throughput.fast_ns_per_read` — the harvest fast path's
-//!   per-READ cost (lower is better). Per-READ cost is the
-//!   scale-independent metric: the quick and full bench scales run the
-//!   same steady-state loop and differ only in pass count, so CI's
-//!   quick run gates against the committed full-scale number.
+//!   per-READ cost (lower is better). CI's quick run gates against the
+//!   committed full-scale number, but the two scales time different
+//!   plans (the quick run profiles 4 banks, the full run 8) and the
+//!   baseline was recorded on another host, so the comparison is only
+//!   approximate.
 //! * `drbg.fast_serve_mbps` — the conditioning tier's serve rate
 //!   (higher is better), held to the same allowed-regression fraction.
 //! * the tier split: the current report's `drbg.fast_serve_mbps` must
@@ -17,13 +18,16 @@
 //!   10x of raw has silently re-coupled them.
 //!
 //! The report format is the two-level `{section: {key: number}}` JSON
-//! that `drange-bench`'s hand-rolled `BenchReport` emits; the parser
-//! here accepts exactly that shape (plus string values, skipped) and
+//! that `drange-bench`'s `BenchReport` emits; [`parse_report`] reads it
+//! through the workspace's JSON reader ([`crate::json`]), accepts
+//! exactly that shape (plus string and `null` values, skipped) and
 //! rejects anything deeper, so a corrupted report fails the gate
 //! loudly instead of green-lighting a regression.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use crate::json::{self, Json};
 
 /// The harvest gate: lower is better (ns of wall time per sensed READ
 /// on the memoizing fast path).
@@ -46,139 +50,39 @@ const DRBG_MIN_TIER_SPLIT: f64 = 10.0;
 /// ns/READ increase — the gate converts accordingly.
 const DEFAULT_MAX_REGRESSION: f64 = 0.10;
 
-/// Parses the `{section: {key: value}}` report shape into a flat map.
-/// String values are tolerated (and ignored by the gate); any other
-/// nesting is an error.
+/// Reads the `{section: {key: value}}` report shape into a flat map.
+/// String and `null` values are tolerated (and not gated on: a gated
+/// metric that is absent fails the gate anyway); any other nesting is
+/// an error.
 pub fn parse_report(text: &str) -> Result<BTreeMap<(String, String), f64>, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
+    let top = match json::parse(text)? {
+        Json::Object(top) => top,
+        other => return Err(format!("a report is an object, got {}", other.kind())),
     };
     let mut out = BTreeMap::new();
-    p.ws();
-    p.expect(b'{')?;
-    p.ws();
-    if p.peek() == Some(b'}') {
-        p.expect(b'}')?;
-        return Ok(out);
-    }
-    loop {
-        p.ws();
-        let section = p.string()?;
-        p.ws();
-        p.expect(b':')?;
-        p.ws();
-        p.expect(b'{')?;
-        p.ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.ws();
-                let key = p.string()?;
-                p.ws();
-                p.expect(b':')?;
-                p.ws();
-                match p.peek() {
-                    Some(b'"') => {
-                        p.string()?; // string metric: not gateable, skip
-                    }
-                    _ => {
-                        let value = p.number()?;
-                        out.insert((section.clone(), key), value);
-                    }
+    for (section, entries) in top.iter() {
+        let Json::Object(entries) = entries else {
+            return Err(format!(
+                "section `{section}` must be an object, got {}",
+                entries.kind()
+            ));
+        };
+        for (key, value) in entries.iter() {
+            match value {
+                Json::Number(v) => {
+                    out.insert((section.to_string(), key.to_string()), *v);
                 }
-                p.ws();
-                match p.next_byte()? {
-                    b',' => continue,
-                    b'}' => break,
-                    c => {
-                        return Err(format!(
-                            "expected `,` or `}}` in section, got `{}`",
-                            c as char
-                        ))
-                    }
+                Json::String(_) | Json::Null => {}
+                other => {
+                    return Err(format!(
+                        "`{section}.{key}` must be a number, got {}",
+                        other.kind()
+                    ))
                 }
-            }
-        }
-        p.ws();
-        match p.next_byte()? {
-            b',' => continue,
-            b'}' => break,
-            c => {
-                return Err(format!(
-                    "expected `,` or `}}` at top level, got `{}`",
-                    c as char
-                ))
             }
         }
     }
     Ok(out)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or("unexpected end of report")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next_byte()? {
-            b if b == want => Ok(()),
-            b => Err(format!("expected `{}`, got `{}`", want as char, b as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    // BenchReport only escapes `"`, `\` and control
-                    // characters; pass the escaped byte through and
-                    // keep `\uXXXX` opaque (keys are never gated on).
-                    let e = self.next_byte()?;
-                    s.push(e as char);
-                }
-                b => s.push(b as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF8 number token".to_string())?;
-        tok.parse::<f64>()
-            .map_err(|e| format!("bad number `{tok}`: {e}"))
-    }
 }
 
 /// Runs every gate: `Ok(summary)` when the current report is within

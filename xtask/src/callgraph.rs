@@ -35,7 +35,7 @@ impl CallGraph {
                 let EventKind::Call(call) = ev.kind else {
                     continue;
                 };
-                for &target in resolve(ws, &call) {
+                for target in resolve(ws, &call) {
                     if target != id && seen.insert(target) {
                         out.push(target);
                         callers.entry(target).or_default().push(id);
@@ -73,17 +73,17 @@ impl CallGraph {
 }
 
 /// Resolves one call site to candidate items.
-fn resolve<'w>(ws: &'w Workspace<'_>, call: &parse::CallSite<'_>) -> &'w [FnId] {
+fn resolve(ws: &Workspace<'_>, call: &parse::CallSite<'_>) -> Vec<FnId> {
     let candidates = ws.lookup(call.name);
     if call.is_macro {
         // Only edge to macro_rules definitions for `name!` calls.
         return if candidates.iter().any(|&id| ws.item(id).is_macro) {
-            candidates
+            candidates.to_vec()
         } else {
-            &[]
+            Vec::new()
         };
     }
-    candidates
+    narrow_by_qualifier(ws, candidates, call.qualifier)
 }
 
 /// For `Qual::name(…)` calls, narrows `candidates` to items whose impl
@@ -143,6 +143,22 @@ mod tests {
         )]);
         let g = CallGraph::build(&ws);
         assert_eq!(g.callees_of(id_of(&ws, "f")).len(), 2);
+    }
+
+    #[test]
+    fn qualified_calls_narrow_to_the_qualifier_impl() {
+        let ws = ws(&[(
+            "crates/a/src/lib.rs",
+            "impl X { fn make() {} } impl Y { fn make() {} } \
+             fn f() { X::make(); } fn g() { m::make(); }",
+        )]);
+        let g = CallGraph::build(&ws);
+        let x_make = ws.lookup("make")[0];
+        assert_eq!(ws.item(x_make).self_ty.as_deref(), Some("X"));
+        assert_eq!(g.callees_of(id_of(&ws, "f")), &[x_make]);
+        // A qualifier no impl matches is a module path: every
+        // same-named item stays a candidate.
+        assert_eq!(g.callees_of(id_of(&ws, "g")).len(), 2);
     }
 
     #[test]

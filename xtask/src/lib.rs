@@ -11,6 +11,10 @@
 //! server's `GET /debug/trace` endpoint (see [`tracecheck`]); CI's
 //! server-smoke job pipes a live capture through it.
 //!
+//! Both commands read their input through [`json`], the workspace's one
+//! JSON reader; `drange-bench` depends on this crate to read its
+//! `BENCH_harvest.json` reports with it too.
+//!
 //! `lint` is a dependency-free, token-level pass enforcing the domain
 //! rules the compiler cannot see (see [`rules`] for the rule set and
 //! `xtask/lint_policy.toml` for the allowlists). `analyze` builds an
@@ -32,6 +36,7 @@ pub mod analyses;
 pub mod benchgate;
 pub mod callgraph;
 pub mod diag;
+pub mod json;
 pub mod lexer;
 pub mod parse;
 pub mod policy;
