@@ -40,7 +40,7 @@ impl StartupTrng {
         let snap1: Vec<Vec<u64>> = snapshot(&ctrl)?;
         power_cycle(ctrl.device_mut());
         let mut inventory = Vec::new();
-        for bank in 0..g.banks {
+        for (bank, before) in snap1.iter().enumerate() {
             for row in 0..g.rows {
                 for col in 0..g.cols {
                     let w2 = ctrl
@@ -48,7 +48,7 @@ impl StartupTrng {
                         .peek(dram_sim::WordAddr::new(bank, row, col))
                         // xtask:allow(no-panic) -- loop bounds come from the device's own geometry
                         .expect("in range");
-                    let diff = snap1[bank][row * g.cols + col] ^ w2;
+                    let diff = before[row * g.cols + col] ^ w2;
                     let mut d = diff;
                     while d != 0 {
                         let bit = d.trailing_zeros() as usize;

@@ -58,7 +58,7 @@ fn main() {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 33) % 5 != 0 // 80% ones
+            !(state >> 33).is_multiple_of(5) // 80% ones
         })
         .collect();
     let mut vn2 = VonNeumann::new();

@@ -66,7 +66,7 @@ fn main() {
             )
             .expect("plan");
             let raw = trng.bits(scale.pick(20_000, 200_000)).expect("bits");
-            let bits = Bits::from_bools(raw.into_iter());
+            let bits = Bits::from_bools(raw);
             let monobit = nist_sts::monobit::test(&bits).expect("monobit");
             let runs = nist_sts::runs::test(&bits).expect("runs");
             line.push_str(&format!(

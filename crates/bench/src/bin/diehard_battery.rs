@@ -27,7 +27,7 @@ fn main() {
         }
         let mut trng = DRange::new(ctrl, &catalog, DRangeConfig::default()).expect("plan");
         let raw = trng.bits(stream_bits).expect("bits");
-        let bits = Bits::from_bools(raw.into_iter());
+        let bits = Bits::from_bools(raw);
         println!("manufacturer {m} ({} bits):", stream_bits);
         match diehard::battery(&bits) {
             Ok(results) => {

@@ -21,9 +21,9 @@ fn main() {
     }
     // Threshold line.
     let theta_y = ((1.0 - (profile.theta_v - 0.45) / 0.55) * (rows - 1) as f64).round() as usize;
-    for x in 0..wave.len() {
-        if grid[theta_y][x] == ' ' {
-            grid[theta_y][x] = '-';
+    for cell in grid[theta_y].iter_mut().take(wave.len()) {
+        if *cell == ' ' {
+            *cell = '-';
         }
     }
     for (y, row) in grid.iter().enumerate() {

@@ -38,8 +38,8 @@ fn main() {
             total_cells,
             devices_per_mfr * 8
         );
-        for k in 1..=4 {
-            let s = box_stats(&per_k[k]);
+        for (k, vals) in per_k.iter().enumerate().skip(1) {
+            let s = box_stats(vals);
             println!("  words with {k} RNG cell(s) per bank: {s}");
         }
         let banks_with_any = per_k[1]

@@ -120,13 +120,11 @@ fn main() {
         let mut per_banks: Vec<Vec<f64>> = vec![Vec::new(); 9];
         for config in fleet(m, devices_per_mfr, 800 + m as u64 * 77) {
             let (_ctrl, catalog) = pipeline(config, 8, rows, 30, 1000);
-            for banks in 1..=8usize {
-                let bps = catalog_throughput_bps(&catalog, timing, 10.0, 8, banks);
-                per_banks[banks].push(bps);
+            for (banks, acc) in per_banks.iter_mut().enumerate().skip(1) {
+                acc.push(catalog_throughput_bps(&catalog, timing, 10.0, 8, banks));
             }
         }
-        for banks in 1..=8 {
-            let vals = &per_banks[banks];
+        for (banks, vals) in per_banks.iter().enumerate().skip(1) {
             let s = box_stats(vals);
             println!(
                 "  {banks} bank(s): median {:>10} (min {:>10}, max {:>10})",

@@ -34,8 +34,8 @@ fn main() {
 
     let suite = spec2006_suite();
     println!(
-        "{:<12} {:>6} {:>10} {:>12}  {}",
-        "workload", "MPKI", "idle frac", "TRNG t'put", ""
+        "{:<12} {:>6} {:>10} {:>12}  ",
+        "workload", "MPKI", "idle frac", "TRNG t'put"
     );
     let mut rates = Vec::new();
     for w in &suite {

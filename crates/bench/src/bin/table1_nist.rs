@@ -7,9 +7,10 @@
 //! streams, plus the minimum per-cell binary Shannon entropy
 //! (paper: 0.9507).
 
-use dram_sim::Manufacturer;
+use dram_sim::{DataPattern, Manufacturer};
 use drange_bench::{fleet, pipeline, Scale};
 use drange_core::entropy::binary_entropy;
+use memctrl::MemoryController;
 use nist_sts::{Bits, NistSuite, StsError};
 
 fn main() {
@@ -42,7 +43,7 @@ fn main() {
                 .iter()
                 .map(|(a, b)| (*a, b.clone()))
                 .collect();
-            words.sort_by(|a, b| b.1.len().cmp(&a.1.len()));
+            words.sort_by_key(|w| std::cmp::Reverse(w.1.len()));
             // Two-stage per-cell selection, as a lab would do it:
             // screen each candidate cell over 100k reads and keep only
             // cells with negligible observed bias (the truly metastable
@@ -55,28 +56,20 @@ fn main() {
                 if cell_streams.len() >= cells_per_device {
                     break;
                 }
-                let expected = 0u64; // solid-zero pattern
                 ctrl.device_mut()
-                    .fill_row(addr.bank, addr.row, dram_sim::DataPattern::Solid0);
-                let read_word = |ctrl: &mut memctrl::MemoryController| -> u64 {
-                    ctrl.refresh_row(addr.bank, addr.row).expect("refresh");
-                    ctrl.act(addr.bank, addr.row).expect("act");
-                    let got = ctrl.rd(addr.bank, addr.row, addr.col).expect("rd");
-                    if got != expected {
-                        ctrl.wr(addr.bank, addr.row, addr.col, expected)
-                            .expect("wr");
-                    }
-                    ctrl.pre(addr.bank).expect("pre");
-                    got
+                    .fill_row(addr.bank, addr.row, DataPattern::Solid0);
+                // Each read appends every cell's failure indicator.
+                let extend = |ctrl: &mut MemoryController, streams: &mut [Vec<bool>], reads| {
+                    ctrl.induce(&[addr], DataPattern::Solid0, reads, |_, diff| {
+                        for (stream, &bit) in streams.iter_mut().zip(&bits) {
+                            stream.push((diff >> bit) & 1 == 1);
+                        }
+                    })
+                    .expect("in-range word, closed bank");
                 };
                 let mut streams_here: Vec<Vec<bool>> =
                     vec![Vec::with_capacity(stream_bits); bits.len()];
-                for _ in 0..SCREEN_READS {
-                    let got = read_word(&mut ctrl);
-                    for (s, &bit) in bits.iter().enumerate() {
-                        streams_here[s].push((got >> bit) & 1 == 1);
-                    }
-                }
+                extend(&mut ctrl, &mut streams_here, SCREEN_READS);
                 // Keep the unbiased cells of this word.
                 let keep: Vec<usize> = (0..bits.len())
                     .filter(|&s| {
@@ -87,12 +80,7 @@ fn main() {
                 if keep.is_empty() {
                     continue;
                 }
-                for _ in SCREEN_READS..stream_bits {
-                    let got = read_word(&mut ctrl);
-                    for (s, &bit) in bits.iter().enumerate() {
-                        streams_here[s].push((got >> bit) & 1 == 1);
-                    }
-                }
+                extend(&mut ctrl, &mut streams_here, stream_bits - SCREEN_READS);
                 for s in keep {
                     cell_streams.push(std::mem::take(&mut streams_here[s]));
                 }

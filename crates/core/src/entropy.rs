@@ -57,7 +57,7 @@ pub fn min_entropy_from_counts(counts: &[u64]) -> f64 {
 /// Panics if `symbol_bits` is 0 or greater than 16.
 pub fn symbol_counts(stream: &[bool], symbol_bits: usize) -> Vec<u64> {
     assert!(
-        symbol_bits >= 1 && symbol_bits <= 16,
+        (1..=16).contains(&symbol_bits),
         "symbol_bits must be 1..=16"
     );
     let mut counts = vec![0u64; 1usize << symbol_bits];
@@ -82,7 +82,7 @@ pub fn symbol_counts(stream: &[bool], symbol_bits: usize) -> Vec<u64> {
 /// Panics if `symbol_bits` is 0 or greater than 16.
 pub fn symbol_counts_overlapping(stream: &[bool], symbol_bits: usize) -> Vec<u64> {
     assert!(
-        symbol_bits >= 1 && symbol_bits <= 16,
+        (1..=16).contains(&symbol_bits),
         "symbol_bits must be 1..=16"
     );
     let mut counts = vec![0u64; 1usize << symbol_bits];

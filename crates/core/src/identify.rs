@@ -5,7 +5,7 @@
 //! every possible 3-bit symbol (±10 %) — the paper's criterion for a
 //! cell that produces unbiased, high-entropy output.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 
 use dram_sim::{CellAddr, Celsius, DataPattern, WordAddr};
 use memctrl::MemoryController;
@@ -50,14 +50,15 @@ impl Default for IdentifySpec {
 
 impl IdentifySpec {
     fn validate(&self) -> Result<()> {
+        // The range check comes first: it bounds the shift below.
+        if !(1..=8).contains(&self.symbol_bits) {
+            return Err(DrangeError::InvalidSpec("symbol_bits must be 1..=8".into()));
+        }
         if self.reads < 8 * (1 << self.symbol_bits) {
             return Err(DrangeError::InvalidSpec(format!(
                 "{} reads cannot support {}-bit symbol statistics",
                 self.reads, self.symbol_bits
             )));
-        }
-        if !(1..=8).contains(&self.symbol_bits) {
-            return Err(DrangeError::InvalidSpec("symbol_bits must be 1..=8".into()));
         }
         if !(0.0..1.0).contains(&self.tolerance) {
             return Err(DrangeError::InvalidSpec(
@@ -104,7 +105,6 @@ impl RngCellCatalog {
         spec: IdentifySpec,
     ) -> Result<Self> {
         spec.validate()?;
-        let word_bits = ctrl.device().geometry().word_bits;
         // Group candidates by word. Restrict to the plausible band to
         // avoid wasting reads on (nearly) deterministic cells.
         let mut candidates: BTreeMap<WordAddr, Vec<usize>> = BTreeMap::new();
@@ -113,15 +113,15 @@ impl RngCellCatalog {
         }
         // Write the pattern into every row we will sample (and thereby
         // its neighboring cells).
-        let mut rows_done: HashMap<(usize, usize), ()> = HashMap::new();
+        let mut rows_done: HashSet<(usize, usize)> = HashSet::new();
         for addr in candidates.keys() {
-            if rows_done.insert((addr.bank, addr.row), ()).is_none() {
+            if rows_done.insert((addr.bank, addr.row)) {
                 ctrl.device_mut()
                     .fill_row(addr.bank, addr.row, spec.pattern);
             }
         }
         ctrl.try_set_trcd_ns(spec.trcd_ns)?;
-        let result = Self::sample_candidates(ctrl, &candidates, &spec, word_bits);
+        let result = Self::sample_candidates(ctrl, &candidates, &spec);
         ctrl.reset_trcd();
         let words = result?;
         Ok(RngCellCatalog {
@@ -135,35 +135,29 @@ impl RngCellCatalog {
         ctrl: &mut MemoryController,
         candidates: &BTreeMap<WordAddr, Vec<usize>>,
         spec: &IdentifySpec,
-        word_bits: usize,
     ) -> Result<BTreeMap<WordAddr, Vec<usize>>> {
         let mut words: BTreeMap<WordAddr, Vec<usize>> = BTreeMap::new();
+        let mut masks: Vec<u64> = Vec::with_capacity(spec.reads);
+        let mut stream: Vec<bool> = Vec::with_capacity(spec.reads);
         for (&addr, bits) in candidates {
-            let expected = spec.pattern.word(addr.row, addr.col, word_bits);
-            let mut streams: Vec<Vec<bool>> = vec![Vec::with_capacity(spec.reads); bits.len()];
-            for _ in 0..spec.reads {
-                // Refresh, then induce (Algorithm 1 inner sequence).
-                ctrl.refresh_row(addr.bank, addr.row)?;
-                ctrl.act(addr.bank, addr.row)?;
-                let got = ctrl.rd(addr.bank, addr.row, addr.col)?;
-                if got != expected {
-                    ctrl.wr(addr.bank, addr.row, addr.col, expected)?;
-                }
-                ctrl.pre(addr.bank)?;
-                for (s, &bit) in bits.iter().enumerate() {
-                    // The harvested random bit is the *failure indicator*
-                    // (sensed != written), which is pattern-independent.
-                    streams[s].push((got >> bit) & 1 != (expected >> bit) & 1);
-                }
-            }
-            let mut qualified: Vec<usize> = Vec::new();
-            for (s, &bit) in bits.iter().enumerate() {
-                if symbols_uniform(&streams[s], spec.symbol_bits, spec.tolerance) {
-                    qualified.push(bit);
-                }
-            }
+            // Refresh, then induce (Algorithm 1 inner sequence), one
+            // word at a time. The harvested random bit is the failure
+            // indicator (sensed != written), which is
+            // pattern-independent.
+            masks.clear();
+            ctrl.induce(&[addr], spec.pattern, spec.reads, |_, diff| {
+                masks.push(diff)
+            })?;
+            let qualified: Vec<usize> = bits
+                .iter()
+                .copied()
+                .filter(|&bit| {
+                    stream.clear();
+                    stream.extend(masks.iter().map(|m| (m >> bit) & 1 == 1));
+                    symbols_uniform(&stream, spec.symbol_bits, spec.tolerance)
+                })
+                .collect();
             if !qualified.is_empty() {
-                qualified.sort_unstable();
                 words.insert(addr, qualified);
             }
         }
@@ -460,5 +454,19 @@ mod tests {
             ..quick_spec()
         };
         assert!(RngCellCatalog::identify(&mut c, &p, bad).is_err());
+        // Out-of-range symbol widths are rejected, not overflowed.
+        for symbol_bits in [0, 9, 61, 62, 63, 64, usize::MAX] {
+            let bad = IdentifySpec {
+                symbol_bits,
+                ..quick_spec()
+            };
+            assert!(
+                matches!(
+                    RngCellCatalog::identify(&mut c, &p, bad),
+                    Err(DrangeError::InvalidSpec(_))
+                ),
+                "symbol_bits {symbol_bits}"
+            );
+        }
     }
 }

@@ -30,11 +30,12 @@
 //!   ([`DRange::suspend_cell`]) with an escalating backoff; throughput
 //!   drops but the published stream stays unbiased.
 //! - **Re-characterization**: after the backoff, the cell is re-read
-//!   `recheck_reads` times exactly like identification
-//!   ([`crate::identify`]) and must pass the same symbol-uniformity
-//!   criterion to be reinstated; repeated failures retire it
-//!   permanently and promote the densest unused catalog word into the
-//!   freed plan slot ([`DRange::promote_word`]).
+//!   `recheck_reads` times through the same batched read as
+//!   identification ([`crate::identify`], both through
+//!   [`MemoryController::induce`]) and must pass the same
+//!   symbol-uniformity criterion to be reinstated; repeated failures
+//!   retire it permanently and promote the densest unused catalog word
+//!   into the freed plan slot ([`DRange::promote_word`]).
 //! - **Degradation**: when the live-cell count falls below
 //!   [`LifecycleConfig::degraded_fraction`] of the initial plan, the
 //!   [`LifecycleStats::degraded`] flag raises — reduced but honest
@@ -380,7 +381,7 @@ impl ResilientDRange {
 
     fn step_environment(&mut self) -> Result<()> {
         if let Some(schedule) = self.schedule.as_mut() {
-            if self.batches % self.config.schedule_every == 0 {
+            if self.batches.is_multiple_of(self.config.schedule_every) {
                 let _ = schedule.step(self.inner.controller_mut().device_mut())?;
             }
         }
@@ -462,12 +463,13 @@ impl ResilientDRange {
         self.quarantine_events += 1;
     }
 
-    /// Re-characterizes one quarantined cell: identify-style sampling
-    /// (refresh → reduced-tRCD ACT → READ → restore → PRE, harvesting
-    /// the failure indicator) followed by the catalog's
-    /// symbol-uniformity criterion. Reinstates on a pass; escalates the
-    /// strike count (doubling the backoff) on a failure, retiring the
-    /// cell — and promoting a spare word — at `max_strikes`.
+    /// Re-characterizes one quarantined cell: identification's batched
+    /// read ([`MemoryController::induce`]: refresh → reduced-tRCD ACT →
+    /// READ → restore → PRE, harvesting the failure indicator) followed
+    /// by the catalog's symbol-uniformity criterion. Reinstates on a
+    /// pass; escalates the strike count (doubling the backoff) on a
+    /// failure, retiring the cell — and promoting a spare word — at
+    /// `max_strikes`.
     fn recheck(&mut self, cell: CellAddr) -> Result<()> {
         let strikes = match self.states.get(&cell) {
             Some(CellState::Quarantined { strikes, .. }) => *strikes,
@@ -507,25 +509,12 @@ impl ResilientDRange {
         let trcd_ns = self.inner.config().trcd_ns;
         let pattern = self.inner.config().pattern;
         let reads = self.config.recheck_reads;
-        let addr = cell.word();
         let ctrl = self.inner.controller_mut();
-        let word_bits = ctrl.device().geometry().word_bits;
-        let expected = pattern.word(addr.row, addr.col, word_bits);
         ctrl.try_set_trcd_ns(trcd_ns)?;
         let mut stream = Vec::with_capacity(reads);
-        let sampled = (|| -> Result<()> {
-            for _ in 0..reads {
-                ctrl.refresh_row(addr.bank, addr.row)?;
-                ctrl.act(addr.bank, addr.row)?;
-                let got = ctrl.rd(addr.bank, addr.row, addr.col)?;
-                if got != expected {
-                    ctrl.wr(addr.bank, addr.row, addr.col, expected)?;
-                }
-                ctrl.pre(addr.bank)?;
-                stream.push((got >> cell.bit) & 1 != (expected >> cell.bit) & 1);
-            }
-            Ok(())
-        })();
+        let sampled = ctrl.induce(&[cell.word()], pattern, reads, |_, diff| {
+            stream.push((diff >> cell.bit) & 1 == 1);
+        });
         ctrl.reset_trcd();
         sampled?;
         Ok(symbols_uniform(&stream, self.symbol_bits, self.tolerance))

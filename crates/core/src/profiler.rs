@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use dram_sim::{CellAddr, Celsius, DataPattern};
+use dram_sim::{CellAddr, Celsius, DataPattern, WordAddr};
 use memctrl::MemoryController;
 
 use crate::error::{DrangeError, Result};
@@ -177,7 +177,7 @@ impl FailureProfile {
         let cols = self.spec.cols.clone();
         let width = (cols.end - cols.start) * word_bits;
         let mut map = vec![vec![false; width]; rows.end - rows.start];
-        for (&cell, _) in &self.counts {
+        for &cell in self.counts.keys() {
             if cell.bank != bank {
                 continue;
             }
@@ -212,7 +212,6 @@ impl<'a> Profiler<'a> {
     /// propagates controller errors.
     pub fn run(&mut self, spec: ProfileSpec) -> Result<FailureProfile> {
         spec.validate(self.ctrl)?;
-        let word_bits = self.ctrl.device().geometry().word_bits;
         // Line 2: write the data pattern into the region under test.
         for &bank in &spec.banks {
             for row in spec.rows.clone() {
@@ -221,7 +220,7 @@ impl<'a> Profiler<'a> {
         }
         // Line 3: reduce tRCD.
         self.ctrl.try_set_trcd_ns(spec.trcd_ns)?;
-        let result = self.scan(&spec, word_bits);
+        let result = self.scan(&spec);
         // Line 12: restore the default tRCD.
         self.ctrl.reset_trcd();
         let counts = result?;
@@ -232,39 +231,39 @@ impl<'a> Profiler<'a> {
         })
     }
 
-    fn scan(&mut self, spec: &ProfileSpec, word_bits: usize) -> Result<HashMap<CellAddr, u32>> {
-        let mut counts: HashMap<CellAddr, u32> = HashMap::new();
-        for _ in 0..spec.iterations {
-            for &bank in &spec.banks {
-                // Lines 4-5: column order so every access activates a
-                // closed row.
-                for col in spec.cols.clone() {
-                    for row in spec.rows.clone() {
-                        let expected = spec.pattern.word(row, col, word_bits);
-                        // Lines 6-7: refresh the row (ACT + PRE).
-                        self.ctrl.refresh_row(bank, row)?;
-                        // Lines 8-10: ACT, reduced-latency READ, PRE —
-                        // with a restoring write when the read failed so
-                        // the stored pattern stays constant.
-                        self.ctrl.act(bank, row)?;
-                        let got = self.ctrl.rd(bank, row, col)?;
-                        if got != expected {
-                            self.ctrl.wr(bank, row, col, expected)?;
-                            let mut diff = got ^ expected;
-                            while diff != 0 {
-                                let bit = diff.trailing_zeros() as usize;
-                                *counts
-                                    .entry(CellAddr::new(bank, row, col, bit))
-                                    .or_insert(0) += 1;
-                                diff &= diff - 1;
-                            }
-                        }
-                        self.ctrl.pre(bank)?;
+    fn scan(&mut self, spec: &ProfileSpec) -> Result<HashMap<CellAddr, u32>> {
+        // Lines 4-5: column order so every access activates a closed row.
+        let words: Vec<WordAddr> = spec
+            .banks
+            .iter()
+            .flat_map(|&bank| {
+                spec.cols.clone().flat_map(move |col| {
+                    spec.rows
+                        .clone()
+                        .map(move |row| WordAddr::new(bank, row, col))
+                })
+            })
+            .collect();
+        // Lines 6-10, once per iteration: refresh, reduced-latency read
+        // and a restoring write, counting every failing bit. A word has
+        // few failing cells, so each keeps a short `(bit, count)` list.
+        let mut failing: Vec<Vec<(u8, u32)>> = vec![Vec::new(); words.len()];
+        self.ctrl
+            .induce(&words, spec.pattern, spec.iterations, |i, mut diff| {
+                while diff != 0 {
+                    let bit = diff.trailing_zeros() as u8;
+                    match failing[i].iter_mut().find(|(b, _)| *b == bit) {
+                        Some((_, n)) => *n += 1,
+                        None => failing[i].push((bit, 1)),
                     }
+                    diff &= diff - 1;
                 }
-            }
-        }
-        Ok(counts)
+            })?;
+        Ok(words
+            .iter()
+            .zip(failing)
+            .flat_map(|(w, cells)| cells.into_iter().map(move |(b, n)| (w.cell(b.into()), n)))
+            .collect())
     }
 }
 

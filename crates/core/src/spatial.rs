@@ -65,8 +65,8 @@ pub fn analyze(
     let block_columns: Vec<BTreeSet<usize>> = (0..rows / window)
         .map(|b| {
             let mut cols = BTreeSet::new();
-            for row in b * window..(b + 1) * window {
-                for (c, &marked) in bitmap[row].iter().enumerate() {
+            for row in &bitmap[b * window..(b + 1) * window] {
+                for (c, &marked) in row.iter().enumerate() {
                     if marked {
                         cols.insert(c);
                     }

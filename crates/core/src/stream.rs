@@ -43,9 +43,7 @@ impl DRangeReader {
 
 impl Read for DRangeReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.trng
-            .try_fill(buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::Other, e))?;
+        self.trng.try_fill(buf).map_err(io::Error::other)?;
         Ok(buf.len())
     }
 }
@@ -91,10 +89,7 @@ impl Read for EngineReader {
         let mut filled = 0usize;
         while filled < buf.len() {
             let n = (buf.len() - filled).min(max_chunk);
-            let bytes = self
-                .engine
-                .take_bytes(n)
-                .map_err(|e| io::Error::new(io::ErrorKind::Other, e))?;
+            let bytes = self.engine.take_bytes(n).map_err(io::Error::other)?;
             buf[filled..filled + n].copy_from_slice(&bytes);
             filled += n;
         }

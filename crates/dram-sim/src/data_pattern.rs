@@ -63,11 +63,11 @@ impl DataPattern {
         match *self {
             DataPattern::Solid1 => true,
             DataPattern::Solid0 => false,
-            DataPattern::Checkered => (row + bitline) % 2 == 0,
+            DataPattern::Checkered => (row + bitline).is_multiple_of(2),
             DataPattern::CheckeredInv => (row + bitline) % 2 == 1,
-            DataPattern::RowStripe => row % 2 == 0,
+            DataPattern::RowStripe => row.is_multiple_of(2),
             DataPattern::RowStripeInv => row % 2 == 1,
-            DataPattern::ColStripe => bitline % 2 == 0,
+            DataPattern::ColStripe => bitline.is_multiple_of(2),
             DataPattern::ColStripeInv => bitline % 2 == 1,
             DataPattern::Walk1(k) => bitline % WALK_PERIOD == k as usize,
             DataPattern::Walk0(k) => bitline % WALK_PERIOD != k as usize,
@@ -81,10 +81,7 @@ impl DataPattern {
     ///
     /// Panics if `word_bits` is zero or exceeds 64.
     pub fn word(&self, row: usize, col: usize, word_bits: usize) -> u64 {
-        assert!(
-            word_bits >= 1 && word_bits <= 64,
-            "word_bits must be 1..=64"
-        );
+        assert!((1..=64).contains(&word_bits), "word_bits must be 1..=64");
         let mut w = 0u64;
         for bit in 0..word_bits {
             if self.bit(row, col * word_bits + bit) {

@@ -30,7 +30,9 @@ use crate::geometry::{CellAddr, Geometry, WordAddr};
 use crate::manufacturer::{Manufacturer, PhysicsProfile};
 use crate::math::phi;
 use crate::probit::fast_phi;
-use crate::sense_cache::{FastCell, ResolveArena, SenseCache, SenseCacheStats, WordState};
+use crate::sense_cache::{
+    FastCell, ReadMemo, ResolveArena, SenseCache, SenseCacheStats, WordState,
+};
 use crate::temperature::Celsius;
 use crate::timing::{DramStandard, TimingParams};
 use crate::variation::{cell_latents, CellLatents, VariationMap};
@@ -551,6 +553,113 @@ impl DramDevice {
         let mask = self.word_mask();
         self.data[bank][idx_of(&self.geometry, row, col)] = value & mask;
         Ok(())
+    }
+
+    /// Algorithm 1's inner sequence, batched: `rounds` times over
+    /// `words` in order, refresh the word's row (ACT + PRE), ACT it
+    /// again, READ the word at `trcd_ns`, WRITE `pattern`'s word back
+    /// when the read differs from it, and PRE. `on_read(i, mask)`
+    /// receives each read of `words[i]` as its failure mask (sensed XOR
+    /// `pattern`'s word). Returns the number of restoring WRITEs.
+    ///
+    /// The result is bit-identical to issuing those commands one by one
+    /// through [`DramDevice::activate`], [`DramDevice::read`],
+    /// [`DramDevice::write`] and [`DramDevice::precharge`]: the same
+    /// noise draws in the same order, the same stored data, activation
+    /// counts, fault counters and sense-cache counters. A word's first
+    /// read goes through the READ path; each restore puts its coupling
+    /// context back, so every later read whose context still matches
+    /// the resolved snapshot books the hit the READ path would book and
+    /// draws straight from the memoized probabilities; a read whose
+    /// context moved goes through the READ path again.
+    ///
+    /// # Errors
+    ///
+    /// Addressing errors for an out-of-range word and
+    /// [`DramError::BankAlreadyOpen`] for a word whose bank has an open
+    /// row. On error nothing is read, written or drawn.
+    pub fn induce<F: FnMut(usize, u64)>(
+        &mut self,
+        words: &[WordAddr],
+        pattern: DataPattern,
+        trcd_ns: f64,
+        rounds: usize,
+        mut on_read: F,
+    ) -> Result<u64> {
+        for w in words {
+            self.check_addr(w.bank, w.row, w.col)?;
+            if let Some(open_row) = self.banks[w.bank].open_row {
+                return Err(DramError::BankAlreadyOpen {
+                    bank: w.bank,
+                    open_row,
+                });
+            }
+        }
+        let g = self.geometry;
+        let mask = self.word_mask();
+        let expected: Vec<u64> = words
+            .iter()
+            .map(|w| pattern.word(w.row, w.col, g.word_bits))
+            .collect();
+        let sensing = trcd_ns < self.profile.fail_guard_ns;
+        let trcd_bits = trcd_ns.to_bits();
+        let mut memos = vec![ReadMemo::Cold; words.len()];
+        let (mut ps, mut bits) = (Vec::new(), Vec::new());
+        let mut writes = 0u64;
+        for _ in 0..rounds {
+            for (i, w) in words.iter().enumerate() {
+                let (bank, row, col) = (w.bank, w.row, w.col);
+                // The refresh ACT and the inducing ACT.
+                self.act_counts[bank * g.rows + row] += 2;
+                let idx = idx_of(&g, row, col);
+                let stored = self.data[bank][idx];
+                let got = if sensing {
+                    let sensed = if !self.sense_fast {
+                        self.sense_word(bank, row, col, stored, trcd_ns)
+                    } else {
+                        match memos[i] {
+                            ReadMemo::Skip => {
+                                self.cache.stats.skip_word_reads += 1;
+                                stored
+                            }
+                            ReadMemo::Resolved { ctx, off, len }
+                                if ctx == ctx_of_parts(&self.data, &g, bank, row, col, stored) =>
+                            {
+                                self.cache.stats.hit_reads += 1;
+                                let (off, len) = (off as usize, len as usize);
+                                let mut flips = self.noise.bernoulli_run(&ps[off..off + len]);
+                                let mut sensed = stored;
+                                while flips != 0 {
+                                    sensed ^= 1u64 << bits[off + flips.trailing_zeros() as usize];
+                                    flips &= flips - 1;
+                                }
+                                sensed
+                            }
+                            _ => {
+                                let sensed = self.sense_word_fast(bank, row, col, stored, trcd_ns);
+                                memos[i] = self.cache.memo_of(*w, trcd_bits, &mut ps, &mut bits);
+                                sensed
+                            }
+                        }
+                    };
+                    // As in `read`: stuck bits override, a failed sense
+                    // is restored into the cell.
+                    let sensed = self.apply_stuck(bank, row, col, sensed);
+                    if sensed != stored {
+                        self.data[bank][idx] = sensed;
+                    }
+                    sensed
+                } else {
+                    self.apply_stuck(bank, row, col, stored)
+                };
+                if got != expected[i] {
+                    self.data[bank][idx] = expected[i] & mask;
+                    writes += 1;
+                }
+                on_read(i, got ^ expected[i]);
+            }
+        }
+        Ok(writes)
     }
 
     // ------------------------------------------------------------------

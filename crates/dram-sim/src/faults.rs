@@ -169,7 +169,7 @@ impl EnvSchedule {
     /// Appends `steps` do-nothing steps (time passes, wear refreshes).
     pub fn hold(mut self, steps: usize) -> Self {
         self.events
-            .extend(std::iter::repeat(EnvEvent::Hold).take(steps));
+            .extend(std::iter::repeat_n(EnvEvent::Hold, steps));
         self
     }
 
@@ -191,7 +191,7 @@ impl EnvSchedule {
         if steps > 0 {
             let per = delta_c / steps as f64;
             self.events
-                .extend(std::iter::repeat(EnvEvent::ShiftTemperature(per)).take(steps));
+                .extend(std::iter::repeat_n(EnvEvent::ShiftTemperature(per), steps));
         }
         self
     }
@@ -203,7 +203,7 @@ impl EnvSchedule {
         if steps > 0 {
             self.events.push(EnvEvent::NoiseBias(bias_v));
             self.events
-                .extend(std::iter::repeat(EnvEvent::Hold).take(steps - 1));
+                .extend(std::iter::repeat_n(EnvEvent::Hold, steps - 1));
             self.events.push(EnvEvent::NoiseBias(0.0));
         }
         self
@@ -332,7 +332,7 @@ impl EnvSchedule {
 /// Free-function form of [`EnvSchedule::select_fraction`] for callers
 /// that have no schedule yet.
 pub fn select_fraction(seed: u64, cells: &[CellAddr], fraction: f64) -> Vec<CellAddr> {
-    const SALT: u64 = 0xFA17_5E1E_C7;
+    const SALT: u64 = 0x00FA_175E_1EC7;
     cells
         .iter()
         .copied()

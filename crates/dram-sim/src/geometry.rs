@@ -59,7 +59,7 @@ impl Geometry {
                 self.word_bits
             )));
         }
-        if self.subarray_rows == 0 || self.rows % self.subarray_rows != 0 {
+        if self.subarray_rows == 0 || !self.rows.is_multiple_of(self.subarray_rows) {
             return Err(DramError::InvalidConfig(format!(
                 "subarray_rows {} must divide rows {}",
                 self.subarray_rows, self.rows

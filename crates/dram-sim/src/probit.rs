@@ -21,7 +21,7 @@
 //!   `0.0` through the same `exp(-x²)` factor.
 
 /// 1/√π, to full f64 precision (CALERF's `SQRPI`).
-const SQRPI: f64 = 5.641_895_835_477_562_869_5e-1;
+const SQRPI: f64 = 5.641_895_835_477_563e-1;
 
 /// Switch point between the erf series region and the mid rational.
 const THRESH: f64 = 0.46875;
@@ -29,56 +29,56 @@ const THRESH: f64 = 0.46875;
 /// Cody coefficients for erf on |x| ≤ 0.46875 (`A`/`B` arrays).
 const A: [f64; 5] = [
     3.161_123_743_870_565_6e0,
-    1.138_641_541_510_501_56e2,
-    3.774_852_376_853_020_2e2,
-    3.209_377_589_138_469_47e3,
-    1.857_777_061_846_031_53e-1,
+    1.138_641_541_510_501_6e2,
+    3.774_852_376_853_02e2,
+    3.209_377_589_138_469_4e3,
+    1.857_777_061_846_031_5e-1,
 ];
 const B: [f64; 4] = [
-    2.360_129_095_234_412_09e1,
-    2.440_246_379_344_441_73e2,
-    1.282_616_526_077_372_28e3,
-    2.844_236_833_439_170_62e3,
+    2.360_129_095_234_412_2e1,
+    2.440_246_379_344_441_7e2,
+    1.282_616_526_077_372_3e3,
+    2.844_236_833_439_171e3,
 ];
 
 /// Cody coefficients for erfc on 0.46875 ≤ x ≤ 4 (`C`/`D` arrays).
 const C: [f64; 9] = [
-    5.641_884_969_886_700_89e-1,
-    8.883_149_794_388_375_94e0,
-    6.611_919_063_714_162_95e1,
-    2.986_351_381_974_001_31e2,
-    8.819_522_212_417_690_9e2,
-    1.712_047_612_634_070_58e3,
-    2.051_078_377_826_071_47e3,
-    1.230_339_354_797_997_25e3,
-    2.153_115_354_744_038_46e-8,
+    5.641_884_969_886_701e-1,
+    8.883_149_794_388_377,
+    6.611_919_063_714_163e1,
+    2.986_351_381_974_001e2,
+    8.819_522_212_417_69e2,
+    1.712_047_612_634_070_7e3,
+    2.051_078_377_826_071_6e3,
+    1.230_339_354_797_997_2e3,
+    2.153_115_354_744_038_3e-8,
 ];
 const D: [f64; 8] = [
-    1.574_492_611_070_983_47e1,
-    1.176_939_508_913_124_99e2,
-    5.371_811_018_620_098_58e2,
-    1.621_389_574_566_690_19e3,
-    3.290_799_235_733_459_63e3,
-    4.362_619_090_143_247_16e3,
-    3.439_367_674_143_721_64e3,
-    1.230_339_354_803_749_42e3,
+    1.574_492_611_070_983_5e1,
+    1.176_939_508_913_125e2,
+    5.371_811_018_620_099e2,
+    1.621_389_574_566_690_3e3,
+    3.290_799_235_733_459_7e3,
+    4.362_619_090_143_247e3,
+    3.439_367_674_143_721_6e3,
+    1.230_339_354_803_749_5e3,
 ];
 
 /// Cody coefficients for the erfc asymptotic region x > 4 (`P`/`Q`).
 const P: [f64; 6] = [
-    3.053_266_349_612_323_44e-1,
-    3.603_448_999_498_044_39e-1,
-    1.257_817_261_112_292_46e-1,
-    1.608_378_514_874_227_66e-2,
-    6.587_491_615_298_378_03e-4,
-    1.631_538_713_730_209_78e-2,
+    3.053_266_349_612_323_6e-1,
+    3.603_448_999_498_044_5e-1,
+    1.257_817_261_112_292_6e-1,
+    1.608_378_514_874_227_5e-2,
+    6.587_491_615_298_378e-4,
+    1.631_538_713_730_209_7e-2,
 ];
 const Q: [f64; 5] = [
-    2.568_520_192_289_822_42e0,
-    1.872_952_849_923_460_47e0,
-    5.279_051_029_514_284_12e-1,
-    6.051_834_131_244_131_91e-2,
-    2.335_204_976_268_691_85e-3,
+    2.568_520_192_289_822,
+    1.872_952_849_923_460_4,
+    5.279_051_029_514_285e-1,
+    6.051_834_131_244_132e-2,
+    2.335_204_976_268_691_8e-3,
 ];
 
 /// erf(x) for |x| ≤ [`THRESH`] (Cody region 1).

@@ -242,6 +242,19 @@ impl ResolveArena {
     }
 }
 
+/// What a batched read of one word reuses from that word's previous
+/// read (see `DramDevice::induce`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ReadMemo {
+    /// Nothing yet: the next read goes through the READ path.
+    Cold,
+    /// Every bit always-correct at this tRCD: a skip read.
+    Skip,
+    /// Resolved under coupling context `ctx`; the probabilities and bit
+    /// indices sit at `off..off + len` of the batch's pools.
+    Resolved { ctx: [u64; 3], off: u32, len: u32 },
+}
+
 /// One entry of the dense hot-run table — the per-READ view of a run
 /// word, packed so the steady-state sampling loop touches a few
 /// sequential cache lines instead of a map bucket plus three heap
@@ -341,6 +354,46 @@ impl SenseCache {
     pub(crate) fn invalidate_resolved(&mut self) {
         self.resolve_epoch = self.resolve_epoch.wrapping_add(1);
         self.stats.flushes += 1;
+    }
+
+    /// The memo a batched read of `addr` can reuse after a READ of it
+    /// sensed at `trcd_bits`: `Skip` when the word is classified with
+    /// no stochastic bit, `Resolved` when its probabilities are
+    /// current (appended to `ps`/`bits`), `Cold` otherwise. A resolved
+    /// word's next READ is a hit for as long as its coupling context
+    /// still equals the snapshot — whether the hot table or the word
+    /// map serves it, since a usable hot entry always mirrors the map's
+    /// resolution.
+    pub(crate) fn memo_of(
+        &self,
+        addr: WordAddr,
+        trcd_bits: u64,
+        ps: &mut Vec<f64>,
+        bits: &mut Vec<u8>,
+    ) -> ReadMemo {
+        let Some(state) = self.words.get(&addr) else {
+            return ReadMemo::Cold;
+        };
+        if !state.classified
+            || state.class_epoch != self.class_epoch
+            || state.trcd_bits != trcd_bits
+        {
+            return ReadMemo::Cold;
+        }
+        if state.active.is_empty() {
+            return ReadMemo::Skip;
+        }
+        if !state.resolved || state.resolve_epoch != self.resolve_epoch {
+            return ReadMemo::Cold;
+        }
+        let off = ps.len() as u32;
+        ps.extend_from_slice(&state.ps);
+        bits.extend_from_slice(&state.hot_bits);
+        ReadMemo::Resolved {
+            ctx: state.ctx,
+            off,
+            len: state.ps.len() as u32,
+        }
     }
 
     /// Bulk-resolves a gathered run of words: evaluates Φ over the

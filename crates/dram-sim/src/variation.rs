@@ -14,15 +14,15 @@ use crate::math::{cell_key, gauss_for_key, splitmix64, to_unit_f64, unit_for_key
 
 /// Salt values for the independent per-cell latent fields.
 mod salt {
-    pub const EPS: u64 = 0x01;
-    pub const COUPL_L: u64 = 0x02;
-    pub const COUPL_R: u64 = 0x03;
-    pub const CHARGE: u64 = 0x04;
-    pub const TEMP: u64 = 0x05;
-    pub const STRENGTH: u64 = 0x06;
-    pub const WEAK_PICK: u64 = 0x07;
-    pub const WEAK_COUNT: u64 = 0x08;
-    pub const CLUSTER: u64 = 0x09;
+    pub(super) const EPS: u64 = 0x01;
+    pub(super) const COUPL_L: u64 = 0x02;
+    pub(super) const COUPL_R: u64 = 0x03;
+    pub(super) const CHARGE: u64 = 0x04;
+    pub(super) const TEMP: u64 = 0x05;
+    pub(super) const STRENGTH: u64 = 0x06;
+    pub(super) const WEAK_PICK: u64 = 0x07;
+    pub(super) const WEAK_COUNT: u64 = 0x08;
+    pub(super) const CLUSTER: u64 = 0x09;
 }
 
 /// Materialized per-bitline sense-amp drive strengths with the weak

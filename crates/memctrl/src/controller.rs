@@ -2,10 +2,10 @@
 //! programmable timing registers, and records command traces.
 
 use dram_sim::commands::CommandKind;
-use dram_sim::{CommandTrace, DeviceConfig, DramDevice};
+use dram_sim::{CommandTrace, DataPattern, DeviceConfig, DramDevice, WordAddr};
 use drange_telemetry::{Counter, Gauge, MetricsRegistry};
 
-use crate::error::Result;
+use crate::error::{MemError, Result};
 use crate::registers::TimingRegisters;
 use crate::schedule::CommandScheduler;
 
@@ -43,11 +43,17 @@ impl ControllerTelemetry {
 
 /// A single-channel memory controller driving one [`DramDevice`].
 ///
-/// All data-path operations go through the command protocol: the
-/// scheduler stamps each command at its earliest legal time (accounting
+/// Data-path operations go through the command protocol: the scheduler
+/// stamps each command at its earliest legal time (accounting
 /// wall-clock cycles) and the device executes its data/failure
 /// semantics. The controller optionally records every issued command
 /// into a [`CommandTrace`] for energy analysis.
+///
+/// The one exception is [`MemoryController::induce`], the batched
+/// characterization read: its commands reach the device and the
+/// per-kind command counters, but the scheduler does not stamp them,
+/// so [`MemoryController::now_ps`] does not advance and the trace does
+/// not record them.
 #[derive(Debug)]
 pub struct MemoryController {
     device: DramDevice,
@@ -249,14 +255,46 @@ impl MemoryController {
     // Convenience sequences used by the D-RaNGe algorithms.
     // ------------------------------------------------------------------
 
-    /// ACT + PRE: refreshes a row's charge (Algorithm 1, lines 6-7).
+    /// Algorithm 1's inner sequence (lines 6-10), batched for
+    /// profiling, identification and re-characterization: `rounds`
+    /// times over `words` in order, refresh the word's row (ACT + PRE),
+    /// ACT, RD at the programmed `tRCD`, WR `pattern`'s word back when
+    /// the read failed, then PRE. `on_read(i, mask)` receives each read
+    /// of `words[i]` as its failure mask (sensed XOR `pattern`'s word).
+    ///
+    /// The device sees exactly the per-command sequence (see
+    /// [`DramDevice::induce`]) and the per-kind command counters
+    /// advance by what it issued, but the scheduler does not stamp the
+    /// batch: [`MemoryController::now_ps`] and the command trace stay
+    /// where they were.
     ///
     /// # Errors
     ///
-    /// Propagates command errors.
-    pub fn refresh_row(&mut self, bank: usize, row: usize) -> Result<()> {
-        self.act(bank, row)?;
-        self.pre(bank)
+    /// [`MemError::IllegalCommand`] when a word's bank has an open row,
+    /// device errors for out-of-range words. On error nothing is issued,
+    /// read or drawn.
+    pub fn induce<F: FnMut(usize, u64)>(
+        &mut self,
+        words: &[WordAddr],
+        pattern: DataPattern,
+        rounds: usize,
+        on_read: F,
+    ) -> Result<()> {
+        if let Some(w) = words.iter().find(|w| self.scheduler.is_open(w.bank)) {
+            return Err(MemError::IllegalCommand {
+                reason: format!("ACT to open bank {}", w.bank),
+            });
+        }
+        let trcd_ns = self.registers.trcd_ns();
+        let writes = self
+            .device
+            .induce(words, pattern, trcd_ns, rounds, on_read)?;
+        let reads = (words.len() * rounds) as u64;
+        self.telemetry.act.add(2 * reads);
+        self.telemetry.rd.add(reads);
+        self.telemetry.wr.add(writes);
+        self.telemetry.pre.add(2 * reads);
+        Ok(())
     }
 
     /// ACT + RD + PRE: one fresh-activation read of a word, returning
@@ -306,23 +344,50 @@ mod tests {
         let mut c = ctrl();
         c.device_mut().fill_bank(0, DataPattern::Solid0);
         c.set_trcd_ns(10.0);
+        let words: Vec<WordAddr> = (0..1024)
+            .flat_map(|row| (0..16).map(move |col| WordAddr::new(0, row, col)))
+            .collect();
         let mut failures = 0u64;
-        for row in 0..1024 {
-            for col in 0..16 {
-                // Refresh then induce (Algorithm 1 inner loop).
-                c.refresh_row(0, row).unwrap();
-                let w = c.read_fresh(0, row, col).unwrap();
-                failures += w.count_ones() as u64;
-                if w != 0 {
-                    c.act(0, row).unwrap();
-                    c.wr(0, row, col, 0).unwrap();
-                    c.pre(0).unwrap();
-                }
-            }
-        }
+        c.induce(&words, DataPattern::Solid0, 1, |_, mask| {
+            failures += u64::from(mask.count_ones());
+        })
+        .unwrap();
         assert!(failures > 0);
+        for w in words {
+            assert_eq!(c.device().peek(w).unwrap(), 0, "failed reads restored");
+        }
         c.reset_trcd();
         assert_eq!(c.trcd_ns(), 18.0);
+    }
+
+    #[test]
+    fn induce_counts_commands_without_stamping() {
+        let registry = MetricsRegistry::new();
+        let mut c = ctrl();
+        c.attach_telemetry(&registry, "0");
+        c.device_mut().fill_bank(0, DataPattern::Solid0);
+        c.set_trcd_ns(10.0);
+        let t0 = c.now_ps();
+        c.start_recording();
+        let words: Vec<WordAddr> = (0..64).map(|row| WordAddr::new(0, row, 0)).collect();
+        let mut failed_reads = 0u64;
+        c.induce(&words, DataPattern::Solid0, 3, |_, mask| {
+            failed_reads += u64::from(mask != 0);
+        })
+        .unwrap();
+        assert_eq!(c.now_ps(), t0, "the batch is not stamped");
+        assert_eq!(c.stop_recording().len(), 0, "nor traced");
+        assert_eq!(c.device().activation_count(0, 5), 6, "two ACTs per read");
+        let text = registry.render_prometheus();
+        for (kind, n) in [
+            ("act", 384),
+            ("rd", 192),
+            ("wr", failed_reads),
+            ("pre", 384),
+        ] {
+            let line = format!("memctrl_commands_total{{channel=\"0\",kind=\"{kind}\"}} {n}\n");
+            assert!(text.contains(&line), "{line} in {text}");
+        }
     }
 
     #[test]
@@ -339,7 +404,8 @@ mod tests {
         let mut c = ctrl();
         c.start_recording();
         c.read_fresh(0, 3, 1).unwrap();
-        c.refresh_row(0, 5).unwrap();
+        c.act(0, 5).unwrap();
+        c.pre(0).unwrap();
         let trace = c.stop_recording();
         assert_eq!(trace.count(CommandKind::Act), 2);
         assert_eq!(trace.count(CommandKind::Rd), 1);
@@ -372,7 +438,8 @@ mod tests {
         let mut c = ctrl();
         c.attach_telemetry(&registry, "0");
         c.set_trcd_ns(10.0);
-        c.refresh_row(0, 3).unwrap(); // ACT + PRE
+        c.act(0, 3).unwrap();
+        c.pre(0).unwrap();
         let _ = c.read_fresh(0, 3, 1).unwrap(); // ACT + RD + PRE
         c.wr(0, 0, 0, 0).unwrap_err(); // no open row: must NOT count
         c.reset_trcd();

@@ -70,7 +70,7 @@ pub fn test_with_m(bits: &Bits, m: usize) -> Result<TestResult, StsError> {
 /// See [`test_with_m`].
 pub fn test(bits: &Bits) -> Result<TestResult, StsError> {
     let max_m = ((bits.len() as f64).log2() - 5.0).floor() as usize;
-    test_with_m(bits, max_m.min(10).max(1))
+    test_with_m(bits, max_m.clamp(1, 10))
 }
 
 #[cfg(test)]

@@ -508,12 +508,12 @@ pub fn battery(bits: &Bits) -> Result<Vec<TestResult>, StsError> {
     let words = bits.len() / 32;
     // Allocate the word budget across the nine tests.
     let trials = (words / 9 / 512).max(20);
-    let matrices = (words / 9 / 2).min(40_000).max(100);
-    let n_runs = (words / 9).min(50_000).max(1_000);
-    let tuples = (words / 9 / 5).min(20_000).max(120 * 5);
-    let games = (words / 9 / 10).min(20_000).max(200);
+    let matrices = (words / 9 / 2).clamp(100, 40_000);
+    let n_runs = (words / 9).clamp(1_000, 50_000);
+    let tuples = (words / 9 / 5).clamp(120 * 5, 20_000);
+    let games = (words / 9 / 10).clamp(200, 20_000);
     let rounds = (words / 9 / 2000).clamp(10, 50);
-    let word4s = (words / 9).min(60_000).max(12_000);
+    let word4s = (words / 9).clamp(12_000, 60_000);
     let batches = (words / 9 / 100).clamp(20, 200);
     Ok(vec![
         birthday_spacings(bits, trials)?,

@@ -61,7 +61,7 @@ pub fn fft_in_place(data: &mut [Complex]) {
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
     for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) as usize;
+        let j = i.reverse_bits() >> (usize::BITS - bits);
         if j > i {
             data.swap(i, j);
         }

@@ -38,7 +38,7 @@ pub fn test_with_block(bits: &Bits, m: usize) -> Result<TestResult, StsError> {
     let n_blocks = bits.len() / m;
     let mf = m as f64;
     // Theoretical mean complexity of a random M-bit block.
-    let sign = if m % 2 == 0 { 1.0 } else { -1.0 };
+    let sign = if m.is_multiple_of(2) { 1.0 } else { -1.0 };
     let mu = mf / 2.0 + (9.0 - sign) / 36.0 - (mf / 3.0 + 2.0 / 9.0) / 2f64.powf(mf);
     let mut nu = [0u64; K + 1];
     for b in 0..n_blocks {

@@ -91,11 +91,11 @@ pub fn test(bits: &Bits) -> Result<TestResult, StsError> {
     }
     let jf = j as f64;
     let mut p_values = Vec::with_capacity(8);
-    for (s, &x) in STATES.iter().enumerate() {
+    for (&x, visits) in STATES.iter().zip(&counts) {
         let mut chi2 = 0.0;
-        for k in 0..6 {
+        for (k, &v) in visits.iter().enumerate() {
             let expect = jf * pi_k(x, k);
-            chi2 += (counts[s][k] as f64 - expect) * (counts[s][k] as f64 - expect) / expect;
+            chi2 += (v as f64 - expect) * (v as f64 - expect) / expect;
         }
         p_values.push(igamc(5.0 / 2.0, chi2 / 2.0));
     }

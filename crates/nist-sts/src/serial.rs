@@ -69,7 +69,7 @@ pub fn test_with_m(bits: &Bits, m: usize) -> Result<TestResult, StsError> {
 /// See [`test_with_m`].
 pub fn test(bits: &Bits) -> Result<TestResult, StsError> {
     let max_m = ((bits.len() as f64).log2() - 2.0).floor() as usize;
-    test_with_m(bits, max_m.min(16).max(2))
+    test_with_m(bits, max_m.clamp(2, 16))
 }
 
 #[cfg(test)]

@@ -63,11 +63,7 @@ impl SuiteReport {
 
 impl std::fmt::Display for SuiteReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "{:<42} {:>10}  {}",
-            "NIST Test Name", "P-value", "Status"
-        )?;
+        writeln!(f, "{:<42} {:>10}  Status", "NIST Test Name", "P-value")?;
         for o in &self.outcomes {
             match &o.result {
                 Ok(r) => writeln!(

@@ -26,7 +26,10 @@ pub fn is_aperiodic(bits: &[u8]) -> bool {
 ///
 /// Panics if `m` is 0 or greater than 20 (the enumeration is 2^m).
 pub fn aperiodic_templates(m: usize) -> Vec<Vec<u8>> {
-    assert!(m >= 1 && m <= 20, "template length must be 1..=20, got {m}");
+    assert!(
+        (1..=20).contains(&m),
+        "template length must be 1..=20, got {m}"
+    );
     let mut out = Vec::new();
     for value in 0u32..(1 << m) {
         let bits: Vec<u8> = (0..m).map(|i| ((value >> (m - 1 - i)) & 1) as u8).collect();

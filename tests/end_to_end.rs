@@ -29,6 +29,34 @@ fn build_pipeline(seed: u64) -> (MemoryController, RngCellCatalog) {
     (ctrl, catalog)
 }
 
+/// The served catalog: the characterization perfbench runs before it
+/// serves (and `drange-serve --source sim` at its default device seed,
+/// there under OS noise) — Manufacturer A, device seed 1,
+/// characterization noise seed 1, the default profiling and
+/// identification specs. A change to any layer under identification
+/// that moves a cell or a noise draw moves this catalog.
+#[test]
+fn served_catalog_is_pinned() {
+    let mut ctrl = MemoryController::from_config(
+        DeviceConfig::new(Manufacturer::A)
+            .with_seed(1)
+            .with_noise_seed(1),
+    );
+    let profile = Profiler::new(&mut ctrl)
+        .run(ProfileSpec::default())
+        .expect("profiling succeeds");
+    let catalog = RngCellCatalog::identify(&mut ctrl, &profile, IdentifySpec::default())
+        .expect("identification succeeds");
+    assert_eq!(catalog.len(), 1481);
+    assert_eq!(
+        catalog.best_words(0, 2),
+        vec![
+            (WordAddr::new(0, 723, 14), vec![6, 7, 8, 9]),
+            (WordAddr::new(0, 109, 6), vec![22, 52, 53]),
+        ]
+    );
+}
+
 #[test]
 fn pipeline_produces_statistically_random_bits() {
     let (ctrl, catalog) = build_pipeline(0xE2E);
