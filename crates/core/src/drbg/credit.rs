@@ -2,10 +2,10 @@
 //! ledger behind `drange_drbg_entropy_credits_total`).
 //!
 //! Every bit that reaches a DRBG seed was drawn from the engine's
-//! shared pool, and the pool only ever holds health-screened bits —
-//! each batch passed the worker's [`crate::health::HealthMonitor`]
-//! feed before publication (the invariant `cargo xtask analyze`'s
-//! entropy-taint pass enforces). The ledger therefore credits exactly
+//! shared pool, and the pool only ever holds health-screened bits: its
+//! only way in is a [`crate::health::Screened`] batch, which only
+//! [`crate::health::HealthMonitor::screen`] builds, so the compiler
+//! holds the invariant. The ledger therefore credits exactly
 //! the bits drawn at reseed time: *credits can never exceed the
 //! health-fed bits the engine produced* (pinned by the
 //! `drbg_props` proptests).

@@ -22,12 +22,13 @@
 //!
 //! ## Entropy credits and health gating
 //!
-//! Every seed byte comes from the engine pool, which only ever holds
-//! bits that passed a worker's [`crate::health::HealthMonitor`] feed —
-//! the same path `cargo xtask analyze`'s entropy-taint rule audits. The
-//! per-shard [`CreditLedger`] credits exactly those bits and spends
-//! them against generated output, making "how far ahead of the
-//! harvester is the fast tier running" a first-class metric
+//! Every seed byte comes from the engine pool, a
+//! [`crate::health::ScreenedQueue`] that only accepts
+//! [`crate::health::Screened`] batches: bits that passed a worker's
+//! [`crate::health::HealthMonitor::screen`]. The per-shard
+//! [`CreditLedger`] credits exactly those bits and spends them against
+//! generated output, making "how far ahead of the harvester is the fast
+//! tier running" a first-class metric
 //! (`drange_drbg_entropy_credits_total`).
 //!
 //! A tripped health monitor blocks *reseeding*, never serving: when

@@ -11,15 +11,18 @@
 //! continuously harvest health-screened bit batches and push them
 //! straight into one shared pool that many client threads drain
 //! concurrently — the single queue of screened bits that the §6.3
-//! firmware keeps for applications.
+//! firmware keeps for applications. The pool is a [`ScreenedQueue`],
+//! which takes only [`Screened`](crate::health::Screened) batches, and
+//! only [`HealthMonitor::screen`] builds one: a publish that skips the
+//! screen does not compile.
 //!
 //! ## Topology
 //!
 //! ```text
 //!  worker 0 (DRange + HealthMonitor) ──┐
-//!  worker 1 (DRange + HealthMonitor) ──┤  push_block   Mutex<Pool>: BitQueue
+//!  worker 1 (DRange + HealthMonitor) ──┤    push      Mutex<Pool>: ScreenedQueue
 //!  ...                                 ├────────────▶  + WatermarkGate + demand
-//!  worker N-1                        ──┘   (BitBlock)         │
+//!  worker N-1                        ──┘  (Screened)          │
 //!                                          take_bits() ◀──────┘  (many clients)
 //! ```
 //!
@@ -29,8 +32,8 @@
 //! mutex, next to the bits it measures.
 //!
 //! Bits travel packed end to end: a worker harvests one [`BitBlock`]
-//! (64 bits per `u64` word) per batch and splices it into the pool's
-//! [`BitQueue`] word by word — the worker→pool transfer copies words,
+//! (64 bits per `u64` word) per batch and splices it into the pool
+//! word by word — the worker→pool transfer copies words,
 //! never individual bools. Clients unpack only at the API boundary
 //! ([`take_bits`]) or not at all ([`take_bytes`] emits the pool words
 //! big-endian).
@@ -63,9 +66,9 @@ use dram_sim::{DeviceConfig, FaultStats, SenseCacheStats};
 use drange_telemetry::{Gauge, Histogram, MetricKind, MetricsRegistry, Stage, TraceId, Tracer};
 use memctrl::MemoryController;
 
-use crate::bits::{BitBlock, BitQueue};
+use crate::bits::BitBlock;
 use crate::error::{DrangeError, Result};
-use crate::health::{HealthMonitor, TripCounts};
+use crate::health::{HealthMonitor, ScreenedQueue, TripCounts};
 use crate::identify::RngCellCatalog;
 use crate::lifecycle::{LifecycleStats, ResilientDRange};
 use crate::sampler::{DRange, DRangeConfig};
@@ -386,7 +389,7 @@ fn ratio(part: u64, whole: u64) -> f64 {
 /// filling it, behind one mutex.
 #[derive(Debug)]
 struct Pool {
-    bits: BitQueue,
+    bits: ScreenedQueue,
     /// Hysteresis between the low watermark and the capacity.
     gate: WatermarkGate,
     /// Bits wanted by clients currently blocked in `drain_pool`. While
@@ -614,7 +617,7 @@ impl HarvestEngine {
         let tracer = registry.map_or_else(Tracer::noop, MetricsRegistry::tracer);
         let shared = Arc::new(Shared {
             pool: Mutex::new(Pool {
-                bits: BitQueue::new(),
+                bits: ScreenedQueue::default(),
                 gate: WatermarkGate::new(config.low_watermark, config.queue_capacity),
                 demand: 0,
             }),
@@ -788,7 +791,7 @@ impl HarvestEngine {
         &self,
         bits: usize,
         deadline: Option<Instant>,
-        drain: impl FnOnce(&mut BitQueue) -> T,
+        drain: impl FnOnce(&mut ScreenedQueue) -> T,
     ) -> Result<Option<T>> {
         if bits > self.config.queue_capacity {
             return Err(DrangeError::InvalidSpec(format!(
@@ -1090,9 +1093,10 @@ fn worker_run<S: HarvestSource>(
             Ok(b) => b,
             Err(e) => return Some(e),
         };
+        let bits = batch.len() as u64;
         counters.device_time_ps.set(source.device_time_ps());
         counters.batches.add(1);
-        counters.harvested_bits.add(batch.len() as u64);
+        counters.harvested_bits.add(bits);
         if let Some(cache) = source.sense_cache_stats() {
             let skip = cache
                 .skip_word_reads
@@ -1134,27 +1138,29 @@ fn worker_run<S: HarvestSource>(
         if let Some(faults) = source.fault_stats() {
             *counters.faults.lock() = Some(faults);
         }
-        let trips = {
+        let screened = {
             let _stage = Stage::start("engine.health", &stages.health, tracer);
-            health.feed_bits(batch.iter())
+            health.screen(batch)
         };
-        if trips.total() > 0 {
-            batch_span.event_u64("health.reject", trips.total());
-            counters.repetition_trips.add(trips.repetition);
-            counters.adaptive_trips.add(trips.adaptive);
-            counters.discarded_bits.add(batch.len() as u64);
-            // The guard is persistent worker state: it spans request
-            // boundaries and resets only when a batch is accepted.
-            consecutive_rejects += 1;
-            if consecutive_rejects > max_rejects {
-                return Some(DrangeError::Unhealthy(format!(
-                    "more than {max_rejects} consecutive batches failed health screening"
-                )));
+        let screened = match screened {
+            Ok(screened) => screened,
+            Err(trips) => {
+                batch_span.event_u64("health.reject", trips.total());
+                counters.repetition_trips.add(trips.repetition);
+                counters.adaptive_trips.add(trips.adaptive);
+                counters.discarded_bits.add(bits);
+                // The guard is persistent worker state: it spans request
+                // boundaries and resets only when a batch is accepted.
+                consecutive_rejects += 1;
+                if consecutive_rejects > max_rejects {
+                    return Some(DrangeError::Unhealthy(format!(
+                        "more than {max_rejects} consecutive batches failed health screening"
+                    )));
+                }
+                continue;
             }
-            continue;
-        }
+        };
         consecutive_rejects = 0;
-        let bits = batch.len() as u64;
         batch_span.attr_u64("bits", bits);
         shared.in_flight_bits.publish(bits);
         let _stage = Stage::start("engine.publish", &stages.publish, tracer);
@@ -1165,7 +1171,7 @@ fn worker_run<S: HarvestSource>(
         // screened bit ends up queued or served.
         {
             let mut pool = shared.pool.lock();
-            pool.bits.push_block(&batch);
+            pool.bits.push(screened);
             admitted = pool.admits();
         }
         shared.in_flight_bits.retire(bits);
@@ -1449,6 +1455,14 @@ mod tests {
         let engine = HarvestEngine::spawn(vec![source], config, None).unwrap();
         let bits = engine.take_bits(1024).unwrap();
         assert_eq!(bits.len(), 1024);
+        // The runtime twin of `ScreenedQueue`'s type: every batch is 256
+        // bits, so each 256-bit chunk served is one accepted batch, led
+        // by its planted one. A rejected all-zero batch that reached the
+        // pool would show up here as a chunk of zeros.
+        for (i, chunk) in bits.chunks(256).enumerate() {
+            assert!(chunk[0], "chunk {i} does not start a healthy batch");
+            assert!(chunk.iter().any(|&b| b), "chunk {i} is all zero");
+        }
         assert!(engine.first_error().is_none(), "{:?}", engine.first_error());
         let stats = engine.shutdown();
         assert!(

@@ -8,6 +8,12 @@
 //!   consecutive identical samples.
 //! * **Adaptive proportion test**: detects loss of entropy by counting
 //!   occurrences of a sample value within a sliding window.
+//!
+//! [`HealthMonitor::screen`] is the one constructor of [`Screened`], and
+//! a [`ScreenedQueue`] — the engine pool — accepts nothing else, so the
+//! compiler holds the rule that no unscreened bit reaches a client.
+
+use crate::bits::{BitBlock, BitQueue};
 
 /// Cutoff calculator: for min-entropy `h` bits/sample and false-positive
 /// probability `2^-w`, the repetition-count cutoff is `1 + ceil(w / h)`.
@@ -214,27 +220,31 @@ impl HealthMonitor {
         a && b
     }
 
-    /// Feeds a slice and returns how many health failures occurred.
-    pub fn feed_all(&mut self, bits: &[bool]) -> u64 {
-        self.feed_all_counted(bits).total()
-    }
-
-    /// Feeds a slice and returns the per-test breakdown of the health
-    /// failures it caused.
-    pub fn feed_all_counted(&mut self, bits: &[bool]) -> TripCounts {
-        self.feed_bits(bits.iter().copied())
-    }
-
-    /// Feeds every bit of an iterator (e.g. a packed
-    /// [`crate::bits::BitBlock`]'s bits, without unpacking to a slice
-    /// first) and returns the per-test breakdown of the health failures
-    /// it caused.
+    /// Feeds every bit of an iterator (e.g. a packed [`BitBlock`]'s
+    /// bits, without unpacking to a slice first) and returns the
+    /// per-test breakdown of the health failures it caused.
     pub fn feed_bits(&mut self, bits: impl Iterator<Item = bool>) -> TripCounts {
         let before = self.trip_counts();
         for b in bits {
             let _ = self.feed(b);
         }
         self.trip_counts() - before
+    }
+
+    /// Feeds every bit of `batch` to both tests. A batch that fires
+    /// neither comes back [`Screened`]; otherwise the firings it caused
+    /// come back and the batch is dropped.
+    ///
+    /// # Errors
+    ///
+    /// The per-test [`TripCounts`] when either test fired.
+    pub fn screen(&mut self, batch: BitBlock) -> Result<Screened, TripCounts> {
+        let trips = self.feed_bits(batch.iter());
+        if trips.total() == 0 {
+            Ok(Screened(batch))
+        } else {
+            Err(trips)
+        }
     }
 
     /// Total failures across both tests.
@@ -258,6 +268,67 @@ impl HealthMonitor {
             repetition: self.rct.failures(),
             adaptive: self.apt.failures(),
         }
+    }
+}
+
+/// A batch that passed both health tests. Its field is private, so
+/// [`HealthMonitor::screen`] is the only way to build one.
+#[derive(Debug)]
+pub struct Screened(BitBlock);
+
+/// A FIFO of packed bits whose only way in is a [`Screened`] batch —
+/// the engine pool that every `take_*` and every DRBG seed drains.
+///
+/// A raw batch does not compile:
+///
+/// ```compile_fail
+/// use drange_core::bits::BitBlock;
+/// use drange_core::health::{HealthMonitor, ScreenedQueue};
+///
+/// let batch = BitBlock::from_bools(&[true, false, false, true]);
+/// let mut health = HealthMonitor::new(1.0);
+/// let mut pool = ScreenedQueue::default();
+/// pool.push(batch);
+/// ```
+///
+/// The same code with the screen in between does:
+///
+/// ```
+/// use drange_core::bits::BitBlock;
+/// use drange_core::health::{HealthMonitor, ScreenedQueue};
+///
+/// let batch = BitBlock::from_bools(&[true, false, false, true]);
+/// let mut health = HealthMonitor::new(1.0);
+/// let mut pool = ScreenedQueue::default();
+/// pool.push(health.screen(batch).expect("four bits fire neither test"));
+/// ```
+#[derive(Debug, Default)]
+pub struct ScreenedQueue(BitQueue);
+
+impl ScreenedQueue {
+    /// Appends a screened batch (FIFO order preserved).
+    pub fn push(&mut self, batch: Screened) {
+        self.0.push_block(&batch.0);
+    }
+
+    /// Number of queued bits.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Pops up to `n` oldest bits (see [`BitQueue::pop_bools`]).
+    pub(crate) fn pop_bools(&mut self, n: usize) -> Vec<bool> {
+        self.0.pop_bools(n)
+    }
+
+    /// Pops the oldest 64 bits as one word (see [`BitQueue::pop_word`]).
+    pub(crate) fn pop_word(&mut self) -> Option<u64> {
+        self.0.pop_word()
+    }
+
+    /// Pops the oldest 8 bits as one byte (see [`BitQueue::pop_byte`]).
+    pub(crate) fn pop_byte(&mut self) -> Option<u8> {
+        self.0.pop_byte()
     }
 }
 
@@ -288,8 +359,12 @@ mod tests {
     #[test]
     fn healthy_source_rarely_fires() {
         let mut m = HealthMonitor::new(0.95);
-        let fails = m.feed_all(&random_bits(200_000, 7));
-        assert_eq!(fails, 0, "an ideal source must not trip health tests");
+        let trips = m.feed_bits(random_bits(200_000, 7).into_iter());
+        assert_eq!(
+            trips.total(),
+            0,
+            "an ideal source must not trip health tests"
+        );
     }
 
     #[test]
@@ -322,14 +397,14 @@ mod tests {
         // 0101... never repeats, so RCT never fires (APT's reference
         // value occurs in exactly half the window: also no fire).
         let mut m = HealthMonitor::new(1.0);
-        let bits: Vec<bool> = (0..10_000).map(|i| i % 2 == 0).collect();
-        assert_eq!(m.feed_all(&bits), 0);
+        let trips = m.feed_bits((0..10_000).map(|i| i % 2 == 0));
+        assert_eq!(trips.total(), 0);
     }
 
     #[test]
     fn monitor_counts_are_additive() {
         let mut m = HealthMonitor::new(1.0);
-        let _ = m.feed_all(&vec![true; 1000]);
+        let _ = m.feed_bits(std::iter::repeat_n(true, 1000));
         assert!(m.failures() > 0);
     }
 
@@ -338,7 +413,7 @@ mod tests {
         // An all-one stream fires both tests; the split must attribute
         // each firing to its test and sum back to the lump total.
         let mut m = HealthMonitor::new(1.0);
-        let trips = m.feed_all_counted(&vec![true; 5000]);
+        let trips = m.feed_bits(std::iter::repeat_n(true, 5000));
         assert!(trips.repetition > 0, "stuck stream must fire the RCT");
         assert!(trips.adaptive > 0, "all-one windows must fire the APT");
         assert_eq!(trips.total(), m.failures());
@@ -352,19 +427,30 @@ mod tests {
         // 90% ones with period-10 breaks: runs stay below the RCT
         // cutoff (21) but the APT window count blows past its cutoff,
         // so the breakdown isolates the bias signal.
-        let bits: Vec<bool> = (0..50_000).map(|i| i % 10 != 0).collect();
         let mut m = HealthMonitor::new(1.0);
-        let trips = m.feed_all_counted(&bits);
+        let trips = m.feed_bits((0..50_000).map(|i| i % 10 != 0));
         assert_eq!(trips.repetition, 0, "no run reaches the RCT cutoff");
         assert!(trips.adaptive > 0, "bias must fire the APT");
     }
 
     #[test]
-    fn feed_all_matches_counted_total() {
-        let bits: Vec<bool> = (0..2000).map(|i| i % 40 < 39).collect();
-        let mut a = HealthMonitor::new(0.95);
-        let mut b = HealthMonitor::new(0.95);
-        assert_eq!(a.feed_all(&bits), b.feed_all_counted(&bits).total());
+    fn screen_agrees_with_feed_bits() {
+        // A healthy batch comes back screened and queues bit for bit; a
+        // biased one comes back as exactly the trips `feed_bits` counts.
+        let healthy = random_bits(4096, 3);
+        let biased: Vec<bool> = (0..2000).map(|i| i % 40 < 39).collect();
+        let mut m = HealthMonitor::new(0.95);
+        let mut pool = ScreenedQueue::default();
+        pool.push(m.screen(BitBlock::from_bools(&healthy)).unwrap());
+        assert_eq!(pool.pop_bools(healthy.len()), healthy);
+        assert_eq!(pool.len(), 0);
+        let mut oracle = HealthMonitor::new(0.95);
+        let _ = oracle.feed_bits(healthy.into_iter());
+        let want = oracle.feed_bits(biased.iter().copied());
+        assert!(want.total() > 0, "39-of-40 ones must fire");
+        let got = m.screen(BitBlock::from_bools(&biased)).unwrap_err();
+        assert_eq!(got, want);
+        assert_eq!(m.trip_counts(), oracle.trip_counts());
     }
 
     #[test]

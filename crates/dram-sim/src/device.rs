@@ -342,7 +342,13 @@ impl DramDevice {
         Ok(())
     }
 
-    fn check_addr(&self, bank: usize, row: usize, col: usize) -> Result<()> {
+    /// Checks that `(bank, row, col)` addresses a word of this device.
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::BankOutOfRange`], [`DramError::RowOutOfRange`] or
+    /// [`DramError::ColOutOfRange`] for the first index out of range.
+    pub fn check_addr(&self, bank: usize, row: usize, col: usize) -> Result<()> {
         self.check_bank(bank)?;
         if row >= self.geometry.rows {
             return Err(DramError::RowOutOfRange {

@@ -2,7 +2,7 @@
 //! programmable timing registers, and records command traces.
 
 use dram_sim::commands::CommandKind;
-use dram_sim::{CommandTrace, DataPattern, DeviceConfig, DramDevice, WordAddr};
+use dram_sim::{CommandTrace, DataPattern, DeviceConfig, DramDevice, DramError, WordAddr};
 use drange_telemetry::{Counter, Gauge, MetricsRegistry};
 
 use crate::error::{MemError, Result};
@@ -184,7 +184,9 @@ impl MemoryController {
     }
 
     // ------------------------------------------------------------------
-    // Command primitives.
+    // Command primitives. Each one runs the device's checks before the
+    // scheduler stamps the command, so a rejected command leaves the
+    // bank state, the clock and the trace as they were.
     // ------------------------------------------------------------------
 
     /// ACT: opens `row` in `bank`.
@@ -194,6 +196,7 @@ impl MemoryController {
     /// Scheduling errors for illegal sequences; device errors for
     /// addressing problems.
     pub fn act(&mut self, bank: usize, row: usize) -> Result<()> {
+        self.device.check_addr(bank, row, 0)?;
         let cmd = self.scheduler.issue(CommandKind::Act, bank, row, 0)?;
         self.device.activate(bank, row)?;
         self.telemetry.act.inc();
@@ -211,6 +214,7 @@ impl MemoryController {
     /// Scheduling errors for illegal sequences; device errors for
     /// addressing/row mismatches.
     pub fn rd(&mut self, bank: usize, row: usize, col: usize) -> Result<u64> {
+        self.check_column(bank, row, col)?;
         let cmd = self.scheduler.issue(CommandKind::Rd, bank, row, col)?;
         let word = self.device.read(bank, row, col, self.registers.trcd_ns())?;
         self.telemetry.rd.inc();
@@ -227,6 +231,7 @@ impl MemoryController {
     /// Scheduling errors for illegal sequences; device errors for
     /// addressing/row mismatches.
     pub fn wr(&mut self, bank: usize, row: usize, col: usize, value: u64) -> Result<()> {
+        self.check_column(bank, row, col)?;
         let cmd = self.scheduler.issue(CommandKind::Wr, bank, row, col)?;
         self.device.write(bank, row, col, value)?;
         self.telemetry.wr.inc();
@@ -236,11 +241,28 @@ impl MemoryController {
         Ok(())
     }
 
+    /// The device's checks of a RD/WR that the scheduler does not make:
+    /// the address, and that `row` is the row open in `bank`. (The
+    /// scheduler itself rejects a column command to a closed bank.)
+    fn check_column(&self, bank: usize, row: usize, col: usize) -> Result<()> {
+        self.device.check_addr(bank, row, col)?;
+        match self.device.open_row(bank) {
+            Some(open_row) if open_row != row => Err(DramError::WrongOpenRow {
+                bank,
+                requested: row,
+                open_row,
+            }
+            .into()),
+            _ => Ok(()),
+        }
+    }
+
     /// PRE: closes the open row of `bank`.
     ///
     /// # Errors
     ///
-    /// Scheduling errors for illegal sequences.
+    /// Scheduling errors for illegal sequences (the scheduler also
+    /// rejects an out-of-range bank, before it stamps anything).
     pub fn pre(&mut self, bank: usize) -> Result<()> {
         let cmd = self.scheduler.issue(CommandKind::Pre, bank, 0, 0)?;
         self.device.precharge(bank)?;
@@ -388,6 +410,49 @@ mod tests {
             let line = format!("memctrl_commands_total{{channel=\"0\",kind=\"{kind}\"}} {n}\n");
             assert!(text.contains(&line), "{line} in {text}");
         }
+    }
+
+    #[test]
+    fn rejected_commands_leave_the_scheduler_untouched() {
+        let device_err = |r: Result<()>| match r {
+            Err(MemError::Device(e)) => e,
+            other => panic!("expected a device error, got {other:?}"),
+        };
+        let mut c = ctrl();
+        c.start_recording();
+        let t0 = c.now_ps();
+        assert!(matches!(
+            device_err(c.act(0, 999_999)),
+            DramError::RowOutOfRange { .. }
+        ));
+        assert!(!c.scheduler().is_open(0), "a refused ACT opens nothing");
+        assert_eq!(c.now_ps(), t0, "nor moves the clock");
+        c.act(0, 1).unwrap();
+        let t1 = c.now_ps();
+        assert!(matches!(
+            device_err(c.rd(0, 1, 999_999).map(drop)),
+            DramError::ColOutOfRange { .. }
+        ));
+        assert!(matches!(
+            device_err(c.wr(0, 1, 999_999, 0)),
+            DramError::ColOutOfRange { .. }
+        ));
+        assert!(matches!(
+            device_err(c.rd(0, 2, 0).map(drop)),
+            DramError::WrongOpenRow { .. }
+        ));
+        assert!(matches!(
+            device_err(c.wr(0, 2, 0, 0)),
+            DramError::WrongOpenRow { .. }
+        ));
+        assert!(matches!(c.pre(99), Err(MemError::IllegalCommand { .. })));
+        assert_eq!(c.now_ps(), t1);
+        assert!(c.scheduler().is_open(0));
+        c.rd(0, 1, 0).unwrap();
+        c.pre(0).unwrap();
+        let trace = c.stop_recording();
+        assert_eq!(trace.len(), 3, "only the accepted ACT, RD and PRE");
+        assert!(trace.is_time_ordered());
     }
 
     #[test]

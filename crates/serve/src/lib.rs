@@ -420,7 +420,6 @@ fn acceptor_loop(shared: &ServerShared, listener: &TcpListener) {
                 if shared.stopping.is_raised() {
                     break;
                 }
-                // xtask:allow(entropy-taint) -- the queue carries TCP connections, never bits; the call graph reaches a sampler only through same-named methods (names, not types, resolve method calls)
                 if shared.connections.send(http::Conn::new(stream)).is_err() {
                     // Queue closed: we are stopping; the stream drops
                     // and the client sees a reset, which is the
@@ -464,7 +463,6 @@ fn worker_loop(shared: &ServerShared) {
                 if shared.stopping.is_raised() {
                     break;
                 }
-                // xtask:allow(entropy-taint) -- rotates a TCP connection, never bits; the call graph reaches a sampler only through same-named methods (names, not types, resolve method calls)
                 if let Err(conn) = shared.connections.try_send(conn) {
                     // No room to rotate (queue refilled or closing):
                     // keep serving this connection ourselves.

@@ -1,9 +1,8 @@
-//! Export surfaces: Prometheus text format, JSON snapshots, and the
-//! one-line summary used by the periodic reporter.
+//! Export surfaces: Prometheus text format and JSON snapshots.
 
 use std::fmt::Write as _;
 
-use crate::metrics::{bucket_bound, fmt_ns, HistogramSnapshot};
+use crate::metrics::{bucket_bound, HistogramSnapshot};
 use crate::registry::{MetricSample, MetricValue, MetricsRegistry};
 
 /// Escapes a Prometheus label value (`\`, `"`, newline).
@@ -157,59 +156,6 @@ pub fn render_json(registry: &MetricsRegistry) -> String {
     format!("{{\"metrics\":[{}]}}", entries.join(","))
 }
 
-/// Renders a one-line summary: per metric *name*, label sets are
-/// aggregated (counters and gauges summed, histogram buckets merged)
-/// and reported as `name=value` or `name:p50/p99/n`. This is what the
-/// periodic [`crate::Reporter`] logs.
-#[must_use]
-pub fn summary_line(registry: &MetricsRegistry) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    let mut current: Option<(String, MetricValue)> = None;
-    let flush = |entry: &Option<(String, MetricValue)>, parts: &mut Vec<String>| {
-        if let Some((name, value)) = entry {
-            match value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                    parts.push(format!("{name}={v}"));
-                }
-                MetricValue::Histogram(h) => parts.push(format!(
-                    "{name}:p50={}/p99={}/n={}",
-                    fmt_ns(h.p50()),
-                    fmt_ns(h.p99()),
-                    h.count
-                )),
-            }
-        }
-    };
-    for sample in registry.samples() {
-        match &mut current {
-            Some((name, value))
-                if *name == sample.name
-                    && std::mem::discriminant(value) == std::mem::discriminant(&sample.value) =>
-            {
-                match (value, sample.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b))
-                    | (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(&b),
-                    // The guard pins matching kinds; a mismatched name
-                    // (impossible via the registry API) falls through to
-                    // the flush arm below instead of aborting.
-                    _ => {}
-                }
-            }
-            _ => {
-                flush(&current, &mut parts);
-                current = Some((sample.name, sample.value));
-            }
-        }
-    }
-    flush(&current, &mut parts);
-    if parts.is_empty() {
-        "no metrics registered".to_string()
-    } else {
-        parts.join(" | ")
-    }
-}
-
 impl MetricsRegistry {
     /// Prometheus text-format rendering; see
     /// [`crate::export::render_prometheus`].
@@ -223,13 +169,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn render_json(&self) -> String {
         render_json(self)
-    }
-
-    /// One-line cross-label summary; see
-    /// [`crate::export::summary_line`].
-    #[must_use]
-    pub fn summary_line(&self) -> String {
-        summary_line(self)
     }
 }
 
@@ -399,19 +338,5 @@ drange_stage_latency_ns_count{stage=\"harvest\",worker=\"0\"} 3
         let reg = MetricsRegistry::new();
         assert_eq!(reg.render_prometheus(), "");
         assert_eq!(reg.render_json(), "{\"metrics\":[]}");
-        assert_eq!(reg.summary_line(), "no metrics registered");
-    }
-
-    #[test]
-    fn summary_aggregates_across_labels() {
-        let reg = MetricsRegistry::new();
-        reg.counter("bits_total", &[("worker", "0")]).add(10);
-        reg.counter("bits_total", &[("worker", "1")]).add(5);
-        reg.histogram("lat_ns", &[("stage", "a")]).record_ns(100);
-        reg.histogram("lat_ns", &[("stage", "b")]).record_ns(100);
-        let line = reg.summary_line();
-        assert!(line.contains("bits_total=15"), "{line}");
-        assert!(line.contains("lat_ns:p50=128ns"), "{line}");
-        assert!(line.contains("n=2"), "{line}");
     }
 }

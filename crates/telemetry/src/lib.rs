@@ -17,9 +17,8 @@
 //!   registry is attached. `cargo run -p drange-bench --release --bin
 //!   telemetry_overhead` measures the difference.
 //! * **Export** — Prometheus text format
-//!   ([`MetricsRegistry::render_prometheus`]), a JSON snapshot
-//!   ([`MetricsRegistry::render_json`]), and a periodic [`Reporter`]
-//!   thread that logs a one-line summary.
+//!   ([`MetricsRegistry::render_prometheus`]) and a JSON snapshot
+//!   ([`MetricsRegistry::render_json`]).
 //! * **Tracing** — [`Tracer`]/[`Span`] request spans with the same
 //!   noop-by-default cost model, draining into a bounded
 //!   [`FlightRecorder`] ring with Chrome trace-event JSON and
@@ -29,8 +28,7 @@
 //! ## Example
 //!
 //! ```rust
-//! use drange_telemetry::{MetricsRegistry, Reporter};
-//! use std::time::Duration;
+//! use drange_telemetry::MetricsRegistry;
 //!
 //! let registry = MetricsRegistry::new();
 //! let served = registry.counter("drange_served_bits_total", &[]);
@@ -41,11 +39,6 @@
 //! latency.observe_since(t0);
 //!
 //! println!("{}", registry.render_prometheus());
-//! let _reporter = Reporter::spawn(
-//!     registry.clone(),
-//!     Duration::from_secs(1),
-//!     |line| eprintln!("[metrics] {line}"),
-//! );
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,18 +48,16 @@ pub mod export;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
-pub mod reporter;
 pub mod stage;
 mod sync_shim;
 pub mod trace;
 
-pub use export::{render_json, render_prometheus, summary_line};
+pub use export::{render_json, render_prometheus};
 pub use metrics::{
     bucket_bound, bucket_index, fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot,
     HISTOGRAM_BUCKETS,
 };
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderStats};
 pub use registry::{MetricKind, MetricSample, MetricValue, MetricsRegistry};
-pub use reporter::Reporter;
 pub use stage::Stage;
 pub use trace::{AttrValue, Span, SpanEvent, SpanId, SpanRecord, TraceId, Tracer};

@@ -25,8 +25,8 @@
 //! span). Cross-thread causality is by annotation, not context
 //! propagation: engine workers run their own per-batch traces and tag
 //! them with the trace id of the request they are unblocking (see
-//! `drange_core::engine`), which keeps the `BatchChannel` payload type
-//! untouched.
+//! `drange_core::engine`), so no trace context travels with the bits
+//! into the pool.
 
 use std::cell::RefCell;
 use std::fmt;

@@ -13,15 +13,13 @@
 //! cargo run --release --example engine_service
 //! ```
 
-use std::time::Duration;
-
 use d_range::dram_sim::{DeviceConfig, Manufacturer};
 use d_range::drange::{
     channel_sources_with_telemetry, DRangeConfig, IdentifySpec, ProfileSpec, Profiler,
     RandomnessService, RngCellCatalog, ServiceConfig,
 };
 use d_range::memctrl::MemoryController;
-use d_range::telemetry::{FlightRecorder, MetricsRegistry, Reporter, TraceId};
+use d_range::telemetry::{FlightRecorder, MetricsRegistry, TraceId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One profiling + identification pass; the catalog is valid for
@@ -65,11 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(&registry),
     )?;
 
-    // A background reporter logs a one-line summary while clients run.
-    let reporter = Reporter::spawn(registry.clone(), Duration::from_millis(250), |line| {
-        eprintln!("[metrics] {line}");
-    });
-
     // Four application threads file and collect requests concurrently.
     // Each round opens a client-side root span under its own request
     // id, which ranks it in the recorder's slowest-requests table; the
@@ -94,7 +87,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     });
 
-    reporter.stop();
     let stats = service.shutdown();
     println!("\nengine statistics after graceful shutdown:");
     println!("  harvested : {} bits", stats.harvested_bits);

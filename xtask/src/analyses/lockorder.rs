@@ -24,11 +24,10 @@
 //! `lock_state!`) is treated as acquiring that lock directly, so its
 //! let-bound guards participate.
 //!
-//! **Call resolution** here is deliberately narrower than the taint
-//! pass's name-based call graph: a method call resolves only through
-//! `self` (to the caller's own impl type), a qualified call
-//! (`Type::f(..)`) only to an impl of that type, and a bare call only
-//! to free functions. Everything else — `Vec::new()`, a closure
+//! **Call resolution** is deliberately narrow: a method call resolves
+//! only through `self` (to the caller's own impl type), a qualified
+//! call (`Type::f(..)`) only to an impl of that type, and a bare call
+//! only to free functions. Everything else — `Vec::new()`, a closure
 //! parameter invoked by name, `other.helper()` — is treated as
 //! external. Lock summaries flow along these edges; inventing an edge
 //! through a ubiquitous name like `new` would union unrelated

@@ -1,10 +1,8 @@
 //! The `cargo xtask analyze` semantic passes.
 //!
-//! Three whole-workspace analyses over the item-level front-end
-//! ([`crate::parse`], [`crate::symbols`], [`crate::callgraph`]):
+//! Two whole-workspace analyses over the item-level front-end
+//! ([`crate::parse`], [`crate::symbols`]):
 //!
-//! - [`taint`] — entropy-flow taint: harvested bits must pass a
-//!   `HealthMonitor::feed_*` call on every path to publication.
 //! - [`lockorder`] — lock-acquisition ordering: potential-deadlock
 //!   cycles, re-acquisition of a held lock, and condvar waits that are
 //!   not re-checked in a loop.
@@ -18,15 +16,13 @@
 
 pub mod atomics;
 pub mod lockorder;
-pub mod taint;
 
-use crate::callgraph::CallGraph;
 use crate::parse;
 use crate::policy::Policy;
 use crate::rules::Diagnostic;
 use crate::symbols::Workspace;
 
-/// Runs all three analyses over `(relpath, source)` pairs, returning
+/// Runs both analyses over `(relpath, source)` pairs, returning
 /// raw findings (waivers not yet applied), sorted by file then line.
 pub fn analyze_sources(sources: &[(String, String)], policy: &Policy) -> Vec<Diagnostic> {
     let files: Vec<parse::ParsedFile<'_>> = sources
@@ -35,10 +31,8 @@ pub fn analyze_sources(sources: &[(String, String)], policy: &Policy) -> Vec<Dia
         .map(|(relpath, source)| parse::parse(relpath, source))
         .collect();
     let ws = Workspace::new(files);
-    let graph = CallGraph::build(&ws);
 
     let mut out = Vec::new();
-    taint::check(&ws, &graph, policy, &mut out);
     lockorder::check(&ws, &mut out);
     atomics::check(&ws, policy, &mut out);
     out.sort_by(|a, b| {

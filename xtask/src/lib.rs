@@ -18,10 +18,9 @@
 //! `lint` is a dependency-free, token-level pass enforcing the domain
 //! rules the compiler cannot see (see [`rules`] for the rule set and
 //! `xtask/lint_policy.toml` for the allowlists). `analyze` builds an
-//! item-level front-end over the same lexer ([`parse`], [`symbols`],
-//! [`callgraph`]) and runs whole-workspace semantic checks: entropy
-//! taint, lock ordering, and the atomics-ordering policy (see
-//! [`analyses`]). Scope for both: library code under `crates/*/src/`,
+//! item-level front-end over the same lexer ([`parse`], [`symbols`])
+//! and runs whole-workspace semantic checks: lock ordering and the
+//! atomics-ordering policy (see [`analyses`]). Scope for both: library code under `crates/*/src/`,
 //! excluding binaries (`src/bin/`, `src/main.rs`) and anything behind
 //! `#[cfg(test)]` / `#[test]`.
 //!
@@ -34,7 +33,6 @@
 
 pub mod analyses;
 pub mod benchgate;
-pub mod callgraph;
 pub mod diag;
 pub mod json;
 pub mod lexer;
@@ -78,8 +76,8 @@ commands:
                       run the token-level domain lint pass over
                       crates/*/src (policy: xtask/lint_policy.toml)
   analyze [--root DIR] [--format text|json|github]
-                      run the cross-crate semantic analyses (entropy
-                      taint, lock order, atomics-ordering policy)
+                      run the cross-crate semantic analyses (lock
+                      order, atomics-ordering policy)
   check-trace [FILE]  validate Chrome trace-event JSON (from FILE, or
                       stdin when FILE is `-` or omitted) as exported
                       by GET /debug/trace

@@ -20,12 +20,7 @@ pub const LINT_RULE_NAMES: &[&str] = &[
 
 /// The semantic rules `cargo xtask analyze` runs (see
 /// [`crate::analyses`]), with their waiver keys.
-pub const ANALYZE_RULE_NAMES: &[&str] = &[
-    "entropy-taint",
-    "lock-order",
-    "condvar-loop",
-    "atomics-policy",
-];
+pub const ANALYZE_RULE_NAMES: &[&str] = &["lock-order", "condvar-loop", "atomics-policy"];
 
 /// Every waivable rule either pass knows. Keep this the concatenation
 /// of [`LINT_RULE_NAMES`] and [`ANALYZE_RULE_NAMES`] (asserted by a
@@ -36,7 +31,6 @@ pub const RULE_NAMES: &[&str] = &[
     "raw-atomics",
     "timing-writes",
     "instant-hot-path",
-    "entropy-taint",
     "lock-order",
     "condvar-loop",
     "atomics-policy",

@@ -1,11 +1,8 @@
 //! Workspace symbol table over the parsed files.
 //!
-//! Resolution is name-based: a call to `harvest_batch` resolves to
-//! *every* item named `harvest_batch` in the workspace (filtered by
-//! receiver/qualifier hints where available). This over-approximates
-//! dynamic dispatch and cross-crate calls without type information —
-//! exactly what the taint and lock-order analyses want: they must not
-//! miss an edge, and a few spurious ones only make them stricter.
+//! Lookup is by name: [`Workspace::lookup`] returns *every* item with a
+//! given name, across crates, and each analysis narrows those
+//! candidates by its own rules (see [`crate::analyses::lockorder`]).
 
 use std::collections::HashMap;
 

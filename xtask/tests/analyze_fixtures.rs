@@ -7,8 +7,6 @@ use std::collections::BTreeSet;
 
 use xtask::{analyze_source_set, Policy};
 
-const TAINT_DIRTY: &str = include_str!("fixtures/analyze/taint_dirty.rs");
-const TAINT_CLEAN: &str = include_str!("fixtures/analyze/taint_clean.rs");
 const LOCK_DIRTY: &str = include_str!("fixtures/analyze/lock_dirty.rs");
 const LOCK_CLEAN: &str = include_str!("fixtures/analyze/lock_clean.rs");
 const ATOMICS_DIRTY: &str = include_str!("fixtures/analyze/atomics_dirty.rs");
@@ -61,7 +59,6 @@ fn expected(marked: &str) -> Vec<(u32, String)> {
 #[test]
 fn clean_fixtures_analyze_clean() {
     for (path, src) in [
-        ("crates/demo/src/taint_clean.rs", TAINT_CLEAN),
         ("crates/demo/src/lock_clean.rs", LOCK_CLEAN),
         (ATOMICS_CLEAN_PATH, ATOMICS_CLEAN),
     ] {
@@ -73,7 +70,6 @@ fn clean_fixtures_analyze_clean() {
 #[test]
 fn dirty_fixtures_match_their_markers() {
     for (path, src) in [
-        ("crates/demo/src/taint_dirty.rs", TAINT_DIRTY),
         ("crates/demo/src/lock_dirty.rs", LOCK_DIRTY),
         ("crates/demo/src/atomics_dirty.rs", ATOMICS_DIRTY),
     ] {
@@ -87,21 +83,9 @@ fn dirty_fixtures_match_their_markers() {
     }
 }
 
-/// The acceptance property for the taint pass, stated directly: a
-/// function that publishes harvested bits with no `feed_*` on the
-/// path is rejected.
-#[test]
-fn unfed_publication_is_rejected() {
-    let got = analyze_one("crates/demo/src/taint_dirty.rs", TAINT_DIRTY);
-    assert!(
-        got.iter().any(|(_, r)| r == "entropy-taint"),
-        "taint fixture publishing unfed bits was not rejected: {got:?}"
-    );
-}
-
 #[test]
 fn dirty_fixtures_cover_every_analyze_rule() {
-    let rules: BTreeSet<String> = [TAINT_DIRTY, LOCK_DIRTY, ATOMICS_DIRTY]
+    let rules: BTreeSet<String> = [LOCK_DIRTY, ATOMICS_DIRTY]
         .iter()
         .flat_map(|s| expected(s))
         .map(|(_, r)| r)
@@ -119,8 +103,8 @@ fn analyze_excluded_files_are_skipped() {
     let policy =
         Policy::parse("[analyze]\nexclude = [\"crates/demo/src\"]\n").expect("exclude policy");
     let sources = vec![(
-        "crates/demo/src/taint_dirty.rs".to_string(),
-        TAINT_DIRTY.to_string(),
+        "crates/demo/src/lock_dirty.rs".to_string(),
+        LOCK_DIRTY.to_string(),
     )];
     assert!(
         analyze_source_set(&sources, &policy).is_empty(),
