@@ -26,9 +26,7 @@
 use dram_sim::{DeviceConfig, Manufacturer};
 use drange_bench::{bench_report_path, mbps, pipeline, BenchReport, Scale};
 use drange_core::telemetry::{fmt_ns, MetricValue, MetricsRegistry};
-use drange_core::{
-    channel_sources, channel_sources_with_telemetry, DRangeConfig, EngineConfig, HarvestEngine,
-};
+use drange_core::{channel_sources, DRangeConfig, EngineConfig, HarvestEngine};
 
 /// Minimum screened bits measured per worker configuration. Below
 /// this the per-channel device-time rates are dominated by start-up
@@ -153,14 +151,13 @@ fn main() {
     let workers = 4usize;
     println!("\ninstrumented run ({workers} workers) — per-stage latency:\n");
     let registry = MetricsRegistry::new();
-    let sources = channel_sources_with_telemetry(
-        &base,
-        &catalog,
-        &DRangeConfig::default(),
-        workers,
-        Some(&registry),
-    )
-    .expect("channel sources");
+    let mut sources = channel_sources(&base, &catalog, &DRangeConfig::default(), workers)
+        .expect("channel sources");
+    for (channel, source) in sources.iter_mut().enumerate() {
+        source
+            .controller_mut()
+            .attach_telemetry(&registry, &channel.to_string());
+    }
     let engine =
         HarvestEngine::spawn(sources, EngineConfig::default(), Some(&registry)).expect("engine");
     let mut remaining = take_bits;

@@ -1184,7 +1184,9 @@ fn worker_run<S: HarvestSource>(
 /// RNG-cell catalog applies to all of them) but derives an independent
 /// thermal-noise stream, mirroring the paper's independent-channel
 /// scaling. With an OS-seeded base configuration the channels are
-/// independent by construction.
+/// independent by construction. A caller that wants per-channel DRAM
+/// command counts attaches each controller to its registry through
+/// [`DRange::controller_mut`].
 ///
 /// # Errors
 ///
@@ -1195,37 +1197,19 @@ pub fn channel_sources(
     config: &DRangeConfig,
     channels: usize,
 ) -> Result<Vec<DRange>> {
-    channel_sources_with_telemetry(base, catalog, config, channels, None)
-}
-
-/// As [`channel_sources`], additionally attaching each channel's memory
-/// controller to `registry` (command counts and tRCD timing-register
-/// writes, labeled by channel) when one is given.
-///
-/// # Errors
-///
-/// As [`channel_sources`].
-pub fn channel_sources_with_telemetry(
-    base: &DeviceConfig,
-    catalog: &RngCellCatalog,
-    config: &DRangeConfig,
-    channels: usize,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Vec<DRange>> {
     (0..channels)
         .map(|channel| {
             let device = base.clone().with_noise_seed_offset(channel as u64);
-            let mut ctrl = MemoryController::from_config(device);
-            if let Some(reg) = registry {
-                ctrl.attach_telemetry(reg, &channel.to_string());
-            }
+            let ctrl = MemoryController::from_config(device);
             DRange::new(ctrl, catalog, config.clone())
         })
         .collect()
 }
 
-/// As [`channel_sources_with_telemetry`], but wrapping every channel's
-/// sampler in the self-healing cell lifecycle ([`ResilientDRange`]).
+/// As [`channel_sources`], but wrapping every channel's sampler in the
+/// self-healing cell lifecycle ([`ResilientDRange`]); with a
+/// `registry`, each channel's controller and lifecycle report there,
+/// labeled by channel.
 /// When `schedule` is given, each channel gets its own clone of the
 /// environmental fault schedule — all channels experience the same
 /// scripted environment, as boards in one enclosure would.

@@ -84,8 +84,8 @@ pub use channel::BatchChannel;
 pub use drange_telemetry as telemetry;
 pub use drbg::{CreditLedger, DrbgConfig, DrbgFarm, DrbgStats, SeedSource};
 pub use engine::{
-    channel_sources, channel_sources_with_telemetry, resilient_channel_sources, EngineConfig,
-    EngineStats, HarvestEngine, HarvestSource, WorkerStats,
+    channel_sources, resilient_channel_sources, EngineConfig, EngineStats, HarvestEngine,
+    HarvestSource, WorkerStats,
 };
 pub use error::{DrangeError, Result};
 pub use health::{HealthMonitor, TripCounts};

@@ -110,13 +110,23 @@ impl RandomnessService {
     ///
     /// # Errors
     ///
-    /// Returns [`DrangeError::InvalidSpec`] for inconsistent watermarks
-    /// or an empty source list; propagates engine spawn failures.
+    /// Returns [`DrangeError::InvalidSpec`] for inconsistent watermarks,
+    /// an empty source list, or a DRBG reseed larger than the pool can
+    /// ever hold (every fast generate would fail); propagates engine
+    /// spawn failures.
     pub fn with_sources_telemetry<S: HarvestSource>(
         sources: Vec<S>,
         config: ServiceConfig,
         registry: Option<&MetricsRegistry>,
     ) -> Result<Self> {
+        if let Some(drbg) = &config.drbg {
+            if drbg.seed_bytes.saturating_mul(8) > config.queue_capacity {
+                return Err(DrangeError::InvalidSpec(format!(
+                    "a drbg seed of {} bytes exceeds the pool capacity of {} bits",
+                    drbg.seed_bytes, config.queue_capacity
+                )));
+            }
+        }
         let engine = HarvestEngine::spawn(
             sources,
             EngineConfig {
@@ -513,16 +523,28 @@ mod tests {
 
     #[test]
     fn bad_config_rejected() {
-        assert!(RandomnessService::with_sources_telemetry(
-            vec![generator()],
+        let bad = [
             ServiceConfig {
                 queue_capacity: 10,
                 low_watermark: 100,
+                drbg: None,
                 ..Default::default()
             },
-            None,
-        )
-        .is_err());
+            // The default DRBG reseeds 256 bits at a time from a pool
+            // that holds 128.
+            ServiceConfig {
+                queue_capacity: 128,
+                low_watermark: 8,
+                ..Default::default()
+            },
+        ];
+        for config in bad {
+            let out = RandomnessService::with_sources_telemetry(vec![generator()], config, None);
+            assert!(
+                matches!(out, Err(DrangeError::InvalidSpec(_))),
+                "{config:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -1,46 +1,39 @@
 //! `drange-serve` — serve D-RaNGe randomness over HTTP.
 //!
 //! ```sh
-//! drange-serve [--addr 127.0.0.1:7878] [--threads 8]
-//!              [--source prng|sim] [--seed 1] [--channels 2]
-//!              [--queue-bits 65536] [--fetch-timeout-ms 2000]
-//!              [--rate-limit RPS[:BURST]] [--allow-remote-shutdown]
+//! drange-serve [--addr 127.0.0.1:7878] [--threads 8] [--seed 1]
+//!              [--channels 2] [--queue-bits 65536]
+//!              [--fetch-timeout-ms 2000] [--rate-limit RPS[:BURST]]
+//!              [--allow-remote-shutdown] [--no-conditioning]
+//!              [--default-source fast|true]
 //!              [--debug-endpoints] [--trace-threshold-ms N]
 //! ```
 //!
-//! `--source sim` profiles and identifies RNG cells on the simulated
-//! DRAM first (seconds of startup); `--source prng` (the default)
-//! serves a deterministic PRNG stream through the same engine, which
-//! is what CI smoke tests and load benches want.
+//! Before it listens, the server builds the served stack
+//! ([`drange_serve::stack::SimStack`]): it profiles the simulated DRAM
+//! device named by `--seed` and identifies its RNG cells (about a
+//! second in a release build), then harvests those cells under
+//! OS-seeded noise. At the default `--seed` it serves the catalog the
+//! repository benchmark measures.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dram_sim::{DeviceConfig, Manufacturer};
 use drange_core::telemetry::{FlightRecorder, MetricsRegistry, RecorderConfig};
-use drange_core::{
-    channel_sources, DRangeConfig, DrbgConfig, IdentifySpec, ProfileSpec, Profiler,
-    RandomnessService, RngCellCatalog, ServiceConfig,
-};
-use drange_serve::source::PrngHarvestSource;
+use drange_serve::stack::{SimStack, StackSpec};
 use drange_serve::{RateLimitConfig, Server, ServerConfig, SourceMode};
-use memctrl::MemoryController;
 
 struct Cli {
     addr: SocketAddr,
     threads: usize,
-    source: String,
-    seed: u64,
-    channels: usize,
-    queue_bits: usize,
+    stack: StackSpec,
     fetch_timeout: Duration,
     rate_limit: Option<RateLimitConfig>,
     allow_shutdown: bool,
     debug_endpoints: bool,
     trace_threshold: Option<Duration>,
-    conditioning: bool,
     default_source: SourceMode,
 }
 
@@ -50,16 +43,12 @@ fn parse_cli() -> Result<Option<Cli>, String> {
     let mut cli = Cli {
         addr: "127.0.0.1:7878".parse().expect("literal addr"),
         threads: 8,
-        source: "prng".into(),
-        seed: 1,
-        channels: 2,
-        queue_bits: 1 << 16,
+        stack: StackSpec::default(),
         fetch_timeout: Duration::from_millis(2000),
         rate_limit: None,
         allow_shutdown: false,
         debug_endpoints: false,
         trace_threshold: None,
-        conditioning: true,
         default_source: SourceMode::True,
     };
     let mut args = std::env::args().skip(1);
@@ -76,19 +65,18 @@ fn parse_cli() -> Result<Option<Cli>, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
             }
-            "--source" => cli.source = value("--source")?,
             "--seed" => {
-                cli.seed = value("--seed")?
+                cli.stack.device_seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--channels" => {
-                cli.channels = value("--channels")?
+                cli.stack.channels = value("--channels")?
                     .parse()
                     .map_err(|e| format!("--channels: {e}"))?;
             }
             "--queue-bits" => {
-                cli.queue_bits = value("--queue-bits")?
+                cli.stack.pool_bits = value("--queue-bits")?
                     .parse()
                     .map_err(|e| format!("--queue-bits: {e}"))?;
             }
@@ -117,7 +105,7 @@ fn parse_cli() -> Result<Option<Cli>, String> {
             }
             "--allow-remote-shutdown" => cli.allow_shutdown = true,
             "--debug-endpoints" => cli.debug_endpoints = true,
-            "--no-conditioning" => cli.conditioning = false,
+            "--no-conditioning" => cli.stack.conditioning = false,
             "--default-source" => {
                 let raw = value("--default-source")?;
                 cli.default_source = SourceMode::parse(&raw)
@@ -135,9 +123,8 @@ fn parse_cli() -> Result<Option<Cli>, String> {
                      options:\n  \
                      --addr HOST:PORT          listen address (127.0.0.1:7878)\n  \
                      --threads N               worker threads (8)\n  \
-                     --source prng|sim         bit source (prng)\n  \
-                     --seed N                  source seed (1)\n  \
-                     --channels N              simulated channels for --source sim (2)\n  \
+                     --seed N                  simulated DRAM device seed (1)\n  \
+                     --channels N              simulated DRAM channels (2)\n  \
                      --queue-bits N            engine pool capacity in bits (65536)\n  \
                      --fetch-timeout-ms N      engine wait before 503 (2000)\n  \
                      --rate-limit RPS[:BURST]  per-IP token bucket (off)\n  \
@@ -154,44 +141,6 @@ fn parse_cli() -> Result<Option<Cli>, String> {
         }
     }
     Ok(Some(cli))
-}
-
-fn build_service(cli: &Cli, registry: &MetricsRegistry) -> Result<RandomnessService, String> {
-    let service_config = ServiceConfig {
-        queue_capacity: cli.queue_bits,
-        low_watermark: (cli.queue_bits / 16).max(1),
-        min_entropy: 0.9,
-        drbg: cli.conditioning.then(DrbgConfig::default),
-    };
-    match cli.source.as_str() {
-        "prng" => {
-            let sources: Vec<PrngHarvestSource> = (0..cli.channels.max(1))
-                .map(|i| PrngHarvestSource::new(cli.seed.wrapping_add(i as u64)))
-                .collect();
-            RandomnessService::with_sources_telemetry(sources, service_config, Some(registry))
-                .map_err(|e| e.to_string())
-        }
-        "sim" => {
-            let device = DeviceConfig::new(Manufacturer::A).with_seed(cli.seed);
-            let mut ctrl = MemoryController::from_config(device.clone());
-            eprintln!("profiling the simulated device (seed {})...", cli.seed);
-            let profile = Profiler::new(&mut ctrl)
-                .run(ProfileSpec::default())
-                .map_err(|e| format!("profiling failed: {e}"))?;
-            let catalog = RngCellCatalog::identify(&mut ctrl, &profile, IdentifySpec::default())
-                .map_err(|e| format!("identification failed: {e}"))?;
-            let sources = channel_sources(
-                &device,
-                &catalog,
-                &DRangeConfig::default(),
-                cli.channels.max(1),
-            )
-            .map_err(|e| format!("channel setup failed: {e}"))?;
-            RandomnessService::with_sources_telemetry(sources, service_config, Some(registry))
-                .map_err(|e| e.to_string())
-        }
-        other => Err(format!("unknown --source `{other}` (prng|sim)")),
-    }
 }
 
 fn main() -> ExitCode {
@@ -215,13 +164,20 @@ fn main() -> ExitCode {
     } else {
         MetricsRegistry::new()
     };
-    let service = match build_service(&cli, &registry) {
-        Ok(service) => Arc::new(service),
+    eprintln!(
+        "characterizing the simulated device (seed {})...",
+        cli.stack.device_seed
+    );
+    let stack = match SimStack::build(&cli.stack, &registry) {
+        Ok(stack) => stack,
         Err(e) => {
-            eprintln!("drange-serve: {e}");
+            eprintln!("drange-serve: cannot build the served stack: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let cells = stack.catalog.len();
+    let setup = stack.times.profile + stack.times.identify + stack.times.spawn;
+    let service = Arc::new(stack.service);
     let config = ServerConfig {
         worker_threads: cli.threads,
         fetch_timeout: cli.fetch_timeout,
@@ -238,9 +194,11 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "drange-serve listening on http://{} (source: {}, {} workers)",
+        "drange-serve listening on http://{} ({} RNG cells, {} channels, set up in {:.2} s, {} workers)",
         server.local_addr(),
-        cli.source,
+        cells,
+        cli.stack.channels,
+        setup.as_secs_f64(),
         cli.threads.max(1),
     );
     server.run_until_stopped();

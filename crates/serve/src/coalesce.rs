@@ -80,12 +80,14 @@ pub struct Coalescer {
 }
 
 impl Coalescer {
-    /// Creates a coalescer. `max_batch_bytes` must leave a combined
-    /// request serviceable by the engine (at most the pool capacity in
-    /// bytes) — the server's config validation enforces that. Fetches
-    /// trace through the service's tracer: every fetch records a
-    /// `serve.fetch` span (mode direct/leader/follower) and each
-    /// combined engine round-trip a `serve.combine` span.
+    /// Creates a coalescer. A combined request holds at most
+    /// `max_batch_tickets` tickets and `max_batch_bytes` bytes, and
+    /// never more than the service's pool capacity: the engine rejects
+    /// a larger request outright, which would fail every ticket in it
+    /// though each alone is servable. Fetches trace through the
+    /// service's tracer: every fetch records a `serve.fetch` span (mode
+    /// direct/leader/follower) and each combined engine round-trip a
+    /// `serve.combine` span.
     #[must_use]
     pub fn new(
         max_coalesced_bytes: usize,
@@ -173,6 +175,9 @@ impl Coalescer {
     /// Leader duty: drain the ticket queue in combined batches until
     /// it is empty, then step down and wake everyone.
     fn lead(&self, service: &RandomnessService) {
+        let max_batch_bytes = self
+            .max_batch_bytes
+            .min(service.engine().config().queue_capacity / 8);
         loop {
             let batch = {
                 let mut inner = self.inner.lock();
@@ -182,7 +187,7 @@ impl Coalescer {
                     let Some(&head) = inner.queue.front() else {
                         break;
                     };
-                    if !batch.is_empty() && total + head.bytes > self.max_batch_bytes {
+                    if !batch.is_empty() && total + head.bytes > max_batch_bytes {
                         break;
                     }
                     inner.queue.pop_front();
@@ -249,11 +254,12 @@ fn classify(e: DrangeError) -> FetchError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     use crate::source::PrngHarvestSource;
-    use drange_core::ServiceConfig;
+    use drange_core::engine::HarvestSource;
+    use drange_core::{BitBlock, ServiceConfig};
 
     fn service() -> Arc<RandomnessService> {
         let sources = vec![
@@ -324,6 +330,76 @@ mod tests {
             matches!(out, Err(FetchError::Rejected(_))),
             "a request beyond pool capacity must be rejected: {out:?}"
         );
+        assert_eq!(svc.outstanding_requests(), 0);
+    }
+
+    /// A PRNG source whose first batch waits at `gate`: the pool stays
+    /// empty until the test has lined up the interleaving it checks.
+    #[derive(Debug)]
+    struct GatedSource {
+        prng: PrngHarvestSource,
+        gate: Option<Arc<Barrier>>,
+    }
+
+    impl HarvestSource for GatedSource {
+        fn harvest_batch(&mut self) -> drange_core::Result<BitBlock> {
+            if let Some(gate) = self.gate.take() {
+                gate.wait();
+            }
+            self.prng.harvest_batch()
+        }
+    }
+
+    /// Polls the combining state until `done` holds (at least 30 s).
+    fn wait_until(co: &Coalescer, what: &str, done: impl Fn(&CoalesceInner) -> bool) {
+        for _ in 0..30_000 {
+            if done(&co.inner.lock()) {
+                return;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        panic!("the coalescer never reached: {what}");
+    }
+
+    #[test]
+    fn combined_fetch_stays_within_the_pool() {
+        // Fifteen 1 KiB tickets queue behind a leader parked on an
+        // empty 64 Kibit pool. Each is servable alone; combined they
+        // are 120 Kibit, which the engine would reject for all fifteen.
+        let gate = Arc::new(Barrier::new(2));
+        let source = GatedSource {
+            prng: PrngHarvestSource::new(0x0C0A_1E5C),
+            gate: Some(Arc::clone(&gate)),
+        };
+        let config = ServiceConfig {
+            queue_capacity: 1 << 16,
+            low_watermark: 1 << 12,
+            min_entropy: 0.9,
+            drbg: None,
+        };
+        let svc = Arc::new(
+            RandomnessService::with_sources_telemetry(vec![source], config, None)
+                .expect("gated service must spawn"),
+        );
+        // The server's caps: 64 tickets of up to 1 KiB each.
+        let co = Arc::new(Coalescer::new(1024, 64, 64 * 1024, Duration::from_secs(30)));
+        let fetch = || {
+            let (co, svc) = (Arc::clone(&co), Arc::clone(&svc));
+            thread::spawn(move || co.fetch(&svc, 1024))
+        };
+        let leader = fetch();
+        wait_until(&co, "a leader holding its own ticket", |inner| {
+            inner.leader_active && inner.queue.is_empty()
+        });
+        let followers: Vec<_> = (0..15).map(|_| fetch()).collect();
+        wait_until(&co, "fifteen queued followers", |inner| {
+            inner.queue.len() == 15
+        });
+        gate.wait();
+        for (i, handle) in std::iter::once(leader).chain(followers).enumerate() {
+            let out = handle.join().expect("fetch thread");
+            assert_eq!(out.map(|buf| buf.len()), Ok(1024), "ticket {i}");
+        }
         assert_eq!(svc.outstanding_requests(), 0);
     }
 }

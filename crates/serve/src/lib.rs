@@ -11,6 +11,13 @@
 //! (protocol idle limits) and the engine-side fetch timeout that maps
 //! pool underruns to `503`.
 //!
+//! ## The served stack
+//!
+//! [`stack::SimStack::build`] characterizes a simulated DRAM device and
+//! spawns a [`RandomnessService`] over its RNG cells, one harvest
+//! channel per simulated channel. The binary serves that stack; the
+//! sources in [`source`] are fixtures for tests and benches.
+//!
 //! ## Endpoints
 //!
 //! | Endpoint | Method | Success | Failure |
@@ -82,6 +89,7 @@ pub mod coalesce;
 pub mod http;
 pub mod ratelimit;
 pub mod source;
+pub mod stack;
 
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};

@@ -7,8 +7,9 @@
 //!
 //! The clock is passed in by the caller ([`RateLimiter::check_at`])
 //! so the policy is a pure state machine and deterministically
-//! testable; the server calls it with the timestamp it already took
-//! for the request-latency histogram.
+//! testable. The server passes `Instant::now()`: the bucket needs the
+//! wall clock even when the span clock is off, so that read carries
+//! the serve path's one `instant-hot-path` waiver.
 
 use std::collections::HashMap;
 use std::net::IpAddr;

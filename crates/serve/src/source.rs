@@ -1,13 +1,13 @@
-//! Harvest sources for serving without a full DRAM simulation.
+//! Deterministic harvest sources: fixtures for tests and benches that
+//! measure the server rather than the simulated device.
 //!
-//! The server is source-agnostic — production deployments wrap the
-//! simulated DRAM channels ([`drange_core::channel_sources`]) — but
-//! integration tests and CI smoke runs need sources that are fast,
-//! deterministic, and scriptable:
+//! `drange-serve` serves the simulated DRAM channels that
+//! [`crate::stack::SimStack`] builds; nothing serves these sources.
+//! Integration tests and benches use them because they are fast,
+//! deterministic and scriptable:
 //!
 //! * [`PrngHarvestSource`] — a splitmix64 bit firehose whose output
-//!   passes the engine's health screening, for measuring the *server*
-//!   rather than the simulated device.
+//!   passes the engine's health screening. It is a PRNG, not a TRNG.
 //! * [`ScriptedSource`] — the same firehose behind a [`ScriptedState`]
 //!   handle that can throttle harvesting (to force pool underruns) and
 //!   raise the degraded flag (to drive `/healthz` and the

@@ -15,8 +15,8 @@
 
 use d_range::dram_sim::{DeviceConfig, Manufacturer};
 use d_range::drange::{
-    channel_sources_with_telemetry, DRangeConfig, IdentifySpec, ProfileSpec, Profiler,
-    RandomnessService, RngCellCatalog, ServiceConfig,
+    channel_sources, DRangeConfig, IdentifySpec, ProfileSpec, Profiler, RandomnessService,
+    RngCellCatalog, ServiceConfig,
 };
 use d_range::memctrl::MemoryController;
 use d_range::telemetry::{FlightRecorder, MetricsRegistry, TraceId};
@@ -50,13 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // drop/sampling counters surface as drange_trace_* series.
     let recorder = FlightRecorder::new();
     let registry = MetricsRegistry::with_recorder(recorder.clone());
-    let sources = channel_sources_with_telemetry(
-        &base,
-        &catalog,
-        &DRangeConfig::default(),
-        2,
-        Some(&registry),
-    )?;
+    let mut sources = channel_sources(&base, &catalog, &DRangeConfig::default(), 2)?;
+    for (channel, source) in sources.iter_mut().enumerate() {
+        source
+            .controller_mut()
+            .attach_telemetry(&registry, &channel.to_string());
+    }
     let service = RandomnessService::with_sources_telemetry(
         sources,
         ServiceConfig::default(),

@@ -6,6 +6,8 @@ use d_range::dram_sim::{DataPattern, DeviceConfig, Manufacturer, WordAddr};
 use d_range::drange::{DRange, DRangeConfig, IdentifySpec, ProfileSpec, Profiler, RngCellCatalog};
 use d_range::memctrl::MemoryController;
 use d_range::nist_sts::{self, Bits};
+use d_range::telemetry::MetricsRegistry;
+use drange_serve::stack::{SimStack, StackSpec};
 
 fn build_pipeline(seed: u64) -> (MemoryController, RngCellCatalog) {
     let mut ctrl = MemoryController::from_config(
@@ -29,24 +31,24 @@ fn build_pipeline(seed: u64) -> (MemoryController, RngCellCatalog) {
     (ctrl, catalog)
 }
 
-/// The served catalog: the characterization perfbench runs before it
-/// serves (and `drange-serve --source sim` at its default device seed,
-/// there under OS noise) — Manufacturer A, device seed 1,
-/// characterization noise seed 1, the default profiling and
-/// identification specs. A change to any layer under identification
-/// that moves a cell or a noise draw moves this catalog.
+/// The served catalog: what the one stack builder characterizes for
+/// `drange-serve` at its default `--seed` and for the benchmark —
+/// Manufacturer A, device seed 1, characterization noise seed 1, the
+/// default profiling and identification specs. A change to any layer
+/// under identification that moves a cell or a noise draw moves this
+/// catalog, and with it the 7 bits each Algorithm 2 pass samples.
 #[test]
 fn served_catalog_is_pinned() {
-    let mut ctrl = MemoryController::from_config(
-        DeviceConfig::new(Manufacturer::A)
-            .with_seed(1)
-            .with_noise_seed(1),
-    );
-    let profile = Profiler::new(&mut ctrl)
-        .run(ProfileSpec::default())
-        .expect("profiling succeeds");
-    let catalog = RngCellCatalog::identify(&mut ctrl, &profile, IdentifySpec::default())
-        .expect("identification succeeds");
+    let spec = StackSpec {
+        device_seed: 1,
+        harvest_noise_seed: Some(1),
+        channels: 1,
+        pool_bits: 1 << 12,
+        conditioning: false,
+    };
+    let stack = SimStack::build(&spec, &MetricsRegistry::new()).expect("the served stack builds");
+    stack.service.shutdown();
+    let catalog = stack.catalog;
     assert_eq!(catalog.len(), 1481);
     assert_eq!(
         catalog.best_words(0, 2),
@@ -55,6 +57,13 @@ fn served_catalog_is_pinned() {
             (WordAddr::new(0, 109, 6), vec![22, 52, 53]),
         ]
     );
+    let trng = DRange::new(
+        MemoryController::from_config(stack.device),
+        &catalog,
+        DRangeConfig::default(),
+    )
+    .expect("plan");
+    assert_eq!(trng.bits_per_iteration(), 7);
 }
 
 #[test]
