@@ -264,15 +264,6 @@ pub struct DrbgStats {
     pub entropy_spent_bits: u64,
 }
 
-impl DrbgStats {
-    /// Unspent entropy credit across the farm, in bits.
-    #[must_use]
-    pub fn entropy_available_bits(&self) -> u64 {
-        self.entropy_credited_bits
-            .saturating_sub(self.entropy_spent_bits)
-    }
-}
-
 /// A farm of per-shard ChaCha20 DRBGs over one seed source.
 ///
 /// All methods take `&self`; generates on different shards proceed in

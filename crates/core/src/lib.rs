@@ -16,7 +16,7 @@
 //! 3. **Sample** ([`DRange`], Algorithm 2): continuously harvest the
 //!    RNG cells of the two densest words per bank, restoring data after
 //!    every read. [`DRange`] serves words and bytes through fallible
-//!    methods and [`DRangeReader`] ([`std::io::Read`]).
+//!    methods.
 //!
 //! Supporting modules provide the throughput model of Equation (1)
 //! ([`throughput`]), the 64-bit latency analysis ([`latency`]), entropy
@@ -75,7 +75,6 @@ pub mod puf;
 pub mod sampler;
 pub mod service;
 pub mod spatial;
-pub mod stream;
 pub mod sync;
 pub mod throughput;
 
@@ -96,4 +95,3 @@ pub use postprocess::VonNeumann;
 pub use profiler::{FailureProfile, ProfileSpec, Profiler};
 pub use sampler::{DRange, DRangeConfig, SampleStats};
 pub use service::{RandomnessService, RequestId, ServiceConfig};
-pub use stream::{DRangeReader, EngineReader};

@@ -319,11 +319,6 @@ impl ResilientDRange {
         &self.inner
     }
 
-    /// The lifecycle configuration.
-    pub fn lifecycle_config(&self) -> &LifecycleConfig {
-        &self.config
-    }
-
     /// Batches harvested so far (the lifecycle's clock).
     pub fn batches(&self) -> u64 {
         self.batches

@@ -165,8 +165,7 @@ impl SampleStats {
 ///
 /// Owns a memory controller and continuously harvests random bits from
 /// the planned RNG-cell words. Read it through the fallible
-/// [`DRange::next_word`] and [`DRange::try_fill`], or as a byte stream
-/// through [`crate::DRangeReader`].
+/// [`DRange::next_word`] and [`DRange::try_fill`].
 #[derive(Debug)]
 pub struct DRange {
     ctrl: MemoryController,

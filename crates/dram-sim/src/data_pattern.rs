@@ -106,11 +106,6 @@ impl DataPattern {
             DataPattern::Walk0(k) => DataPattern::Walk1(k),
         }
     }
-
-    /// True for the 32 walking patterns.
-    pub fn is_walking(&self) -> bool {
-        matches!(self, DataPattern::Walk1(_) | DataPattern::Walk0(_))
-    }
 }
 
 impl std::fmt::Display for DataPattern {

@@ -47,11 +47,9 @@ const SLOW_PATH_CUTOFF_V: f64 = 0.16;
 pub struct DeviceConfig {
     manufacturer: Manufacturer,
     geometry: Option<Geometry>,
-    profile: Option<PhysicsProfile>,
     standard: DramStandard,
     seed: u64,
     noise_seed: Option<u64>,
-    temperature: Celsius,
 }
 
 impl DeviceConfig {
@@ -62,11 +60,9 @@ impl DeviceConfig {
         DeviceConfig {
             manufacturer,
             geometry: None,
-            profile: None,
             standard: DramStandard::Lpddr4,
             seed: 0,
             noise_seed: None,
-            temperature: Celsius::DEFAULT,
         }
     }
 
@@ -91,21 +87,9 @@ impl DeviceConfig {
         self
     }
 
-    /// Overrides the physics profile (calibration experiments).
-    pub fn with_profile(mut self, profile: PhysicsProfile) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
     /// Selects the DRAM standard (timing preset).
     pub fn with_standard(mut self, standard: DramStandard) -> Self {
         self.standard = standard;
-        self
-    }
-
-    /// Sets the initial device temperature.
-    pub fn with_temperature(mut self, t: Celsius) -> Self {
-        self.temperature = t;
         self
     }
 
@@ -202,9 +186,7 @@ impl DramDevice {
     /// [`Geometry::validate`] beforehand when geometry comes from
     /// untrusted input.
     pub fn build(config: DeviceConfig) -> Self {
-        let profile = config
-            .profile
-            .unwrap_or_else(|| config.manufacturer.profile());
+        let profile = config.manufacturer.profile();
         let mut geometry = config
             .geometry
             .unwrap_or_else(|| Geometry::lpddr4_compact(profile.subarray_rows));
@@ -233,7 +215,7 @@ impl DramDevice {
             standard: config.standard,
             timing: TimingParams::for_standard(config.standard),
             seed: config.seed,
-            temperature: config.temperature,
+            temperature: Celsius::DEFAULT,
             variation,
             data,
             banks,
@@ -302,11 +284,6 @@ impl DramDevice {
     /// correctness.
     pub fn set_sense_fast_path(&mut self, fast: bool) {
         self.sense_fast = fast;
-    }
-
-    /// Whether the sensing fast path is active.
-    pub fn sense_fast_path(&self) -> bool {
-        self.sense_fast
     }
 
     /// Snapshot of the sensing-cache effectiveness counters.
@@ -1261,11 +1238,6 @@ impl DramDevice {
         self.wear_of(cell)
     }
 
-    /// Number of cells registered for aging.
-    pub fn aged_cell_count(&self) -> usize {
-        self.faults.aging.len()
-    }
-
     /// Forces a cell to read as `value` regardless of what the sense
     /// amplifiers latch. Applied after sensing, so noise-stream
     /// consumption is unperturbed; on the reduced-latency path the
@@ -1327,11 +1299,6 @@ impl DramDevice {
             .get(bank * self.geometry.rows + row)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Replaces the noise source (tests).
-    pub fn set_noise(&mut self, noise: Box<dyn NoiseSource>) {
-        self.noise = noise;
     }
 
     /// A uniform draw from this device's noise source. Used by the

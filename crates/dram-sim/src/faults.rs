@@ -54,12 +54,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total discrete injection events (temperature, noise, aging,
-    /// stuck-at) — the headline "injected faults" counter.
-    pub fn injected_events(&self) -> u64 {
-        self.temperature_events + self.noise_bias_events + self.cells_aged + self.cells_stuck
-    }
-
     /// Field-wise sum of two snapshots — aggregating per-channel
     /// counters into a fleet total.
     #[must_use]

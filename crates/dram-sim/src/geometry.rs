@@ -99,12 +99,6 @@ impl Geometry {
         self.rows * self.cols * self.word_bits
     }
 
-    /// Total DRAM words per bank.
-    #[inline]
-    pub fn words_per_bank(&self) -> usize {
-        self.rows * self.cols
-    }
-
     /// The bitline index of `(col, bit)`.
     #[inline]
     pub fn bitline_of(&self, col: usize, bit: usize) -> usize {

@@ -331,11 +331,6 @@ impl MemoryController {
         self.pre(bank)?;
         Ok(word)
     }
-
-    /// Consumes the controller and returns the device.
-    pub fn into_device(self) -> DramDevice {
-        self.device
-    }
 }
 
 #[cfg(test)]
@@ -487,14 +482,6 @@ mod tests {
         assert!(c.try_set_trcd_ns(-1.0).is_err());
         assert!(c.try_set_trcd_ns(f64::INFINITY).is_err());
         assert_eq!(c.trcd_ns(), 18.0);
-    }
-
-    #[test]
-    fn into_device_preserves_data() {
-        let mut c = ctrl();
-        c.device_mut().poke(WordAddr::new(0, 0, 0), 42).unwrap();
-        let d = c.into_device();
-        assert_eq!(d.peek(WordAddr::new(0, 0, 0)).unwrap(), 42);
     }
 
     #[test]

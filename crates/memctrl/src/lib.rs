@@ -16,8 +16,6 @@
 //! * [`MemoryController`] — binds a scheduler to a [`dram_sim::DramDevice`],
 //!   records command traces for the energy model, and exposes the
 //!   high-level operations the D-RaNGe algorithms are written in.
-//! * [`MemorySystem`] — a multi-channel system (the paper's
-//!   4-channel throughput projections).
 //! * [`workloads`] — synthetic SPEC CPU2006-like memory-intensity
 //!   profiles for the idle-bandwidth interference study (Section 7.3).
 //!
@@ -45,20 +43,14 @@
 #![warn(missing_docs)]
 
 pub mod arbiter;
-pub mod channel;
 pub mod controller;
 pub mod error;
-pub mod refresh;
 pub mod registers;
-pub mod requests;
 pub mod schedule;
 pub mod workloads;
 
-pub use channel::MemorySystem;
 pub use controller::MemoryController;
 pub use error::{MemError, Result};
-pub use refresh::RefreshScheduler;
 pub use registers::TimingRegisters;
-pub use requests::{Completion, Request, RequestQueue};
 pub use schedule::CommandScheduler;
 pub use workloads::WorkloadProfile;

@@ -23,13 +23,6 @@ impl TestOutcome {
     pub fn passed(&self, alpha: f64) -> bool {
         self.result.as_ref().is_ok_and(|r| r.passed(alpha))
     }
-
-    /// The representative p-value reported for the table (mean over
-    /// multi-p tests, following the convention of reporting a single
-    /// number per test), or `None` if the test could not run.
-    pub fn reported_p(&self) -> Option<f64> {
-        self.result.as_ref().ok().map(|r| r.mean_p())
-    }
 }
 
 /// Report of a full suite run over one bitstream.

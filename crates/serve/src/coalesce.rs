@@ -32,8 +32,8 @@ use drange_core::{DrangeError, RandomnessService};
 /// HTTP error contract (`400` / `503 + Retry-After` / `500`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchError {
-    /// The request itself is unserviceable (zero/oversized); the
-    /// message is the engine's rejection. Maps to `400`.
+    /// The engine rejected the request as unserviceable; the message
+    /// is the engine's rejection. Maps to `400`.
     Rejected(String),
     /// The pool could not supply the bytes within the fetch timeout —
     /// an underrun. Maps to `503 + Retry-After`.
@@ -82,12 +82,11 @@ pub struct Coalescer {
 impl Coalescer {
     /// Creates a coalescer. A combined request holds at most
     /// `max_batch_tickets` tickets and `max_batch_bytes` bytes, and
-    /// never more than the service's pool capacity: the engine rejects
-    /// a larger request outright, which would fail every ticket in it
-    /// though each alone is servable. Fetches trace through the
-    /// service's tracer: every fetch records a `serve.fetch` span (mode
-    /// direct/leader/follower) and each combined engine round-trip a
-    /// `serve.combine` span.
+    /// never more than the service's pool capacity: a larger one would
+    /// be drawn in parts, and every ticket in it would wait for the
+    /// last part. Fetches trace through the service's tracer: every
+    /// fetch records a `serve.fetch` span (mode direct/leader/follower)
+    /// and each combined engine round-trip a `serve.combine` span.
     #[must_use]
     pub fn new(
         max_coalesced_bytes: usize,
@@ -155,29 +154,38 @@ impl Coalescer {
         }
     }
 
-    /// One engine round-trip: a deadline-bound drain of the service's
-    /// pool, for a request too large to combine or a combined batch.
+    /// A deadline-bound drain of the service's pool, for a request too
+    /// large to combine or a combined batch. A request larger than the
+    /// pool is drawn in pool-sized parts, all under the one fetch
+    /// deadline; on an underrun the parts already drawn are dropped.
     fn fetch_direct(
         &self,
         service: &RandomnessService,
         bytes: usize,
     ) -> Result<Vec<u8>, FetchError> {
-        match service
-            .engine()
-            .take_bytes_deadline(bytes, deadline_after(self.fetch_timeout))
-        {
-            Ok(Some(buf)) => Ok(buf),
-            Ok(None) => Err(FetchError::Underrun),
-            Err(e) => Err(classify(e)),
+        let max_part = pool_bytes(service);
+        let deadline = deadline_after(self.fetch_timeout);
+        let mut out = Vec::new();
+        while out.len() < bytes {
+            let part = (bytes - out.len()).min(max_part);
+            let buf = match service.engine().take_bytes_deadline(part, deadline) {
+                Ok(Some(buf)) => buf,
+                Ok(None) => return Err(FetchError::Underrun),
+                Err(e) => return Err(classify(e)),
+            };
+            if out.is_empty() {
+                out = buf;
+            } else {
+                out.extend_from_slice(&buf);
+            }
         }
+        Ok(out)
     }
 
     /// Leader duty: drain the ticket queue in combined batches until
     /// it is empty, then step down and wake everyone.
     fn lead(&self, service: &RandomnessService) {
-        let max_batch_bytes = self
-            .max_batch_bytes
-            .min(service.engine().config().queue_capacity / 8);
+        let max_batch_bytes = self.max_batch_bytes.min(pool_bytes(service));
         loop {
             let batch = {
                 let mut inner = self.inner.lock();
@@ -242,6 +250,12 @@ impl Coalescer {
     }
 }
 
+/// The most bytes one engine drain can take: the service's pool
+/// capacity, at least one byte.
+fn pool_bytes(service: &RandomnessService) -> usize {
+    (service.engine().config().queue_capacity / 8).max(1)
+}
+
 /// Classifies an engine error: spec rejections are client errors,
 /// everything else is an engine failure.
 fn classify(e: DrangeError) -> FetchError {
@@ -257,8 +271,9 @@ mod tests {
     use std::sync::{Arc, Barrier};
     use std::thread;
 
-    use crate::source::PrngHarvestSource;
+    use crate::source::{PrngHarvestSource, ScriptedSource, ScriptedState};
     use drange_core::engine::HarvestSource;
+    use drange_core::telemetry::{AttrValue, FlightRecorder, MetricsRegistry};
     use drange_core::{BitBlock, ServiceConfig};
 
     fn service() -> Arc<RandomnessService> {
@@ -322,14 +337,42 @@ mod tests {
     }
 
     #[test]
-    fn oversized_request_is_rejected_not_hung() {
+    fn request_larger_than_the_pool_is_served_in_parts() {
+        // Three full 8 KiB pools plus one byte: four engine drains.
         let svc = service();
-        let co = Coalescer::new(1024, 64, 4096, Duration::from_secs(1));
-        let out = co.fetch(&svc, 1 << 20);
-        assert!(
-            matches!(out, Err(FetchError::Rejected(_))),
-            "a request beyond pool capacity must be rejected: {out:?}"
-        );
+        let co = Coalescer::new(1024, 64, 4096, Duration::from_secs(10));
+        let bytes = 3 * 8192 + 1;
+        let buf = co.fetch(&svc, bytes).expect("multi-part fetch");
+        assert_eq!(buf.len(), bytes);
+        assert_eq!(svc.engine().stats().served_bits, bytes as u64 * 8);
+        assert_eq!(svc.outstanding_requests(), 0);
+    }
+
+    #[test]
+    fn underrun_mid_request_drops_the_parts_already_drawn() {
+        let state = ScriptedState::new();
+        let source = ScriptedSource::new(0x5EED_0003, Arc::clone(&state), Duration::from_secs(1));
+        let config = ServiceConfig {
+            queue_capacity: 1 << 16,
+            low_watermark: 1 << 12,
+            min_entropy: 0.9,
+            drbg: None,
+        };
+        let svc = RandomnessService::with_sources_telemetry(vec![source], config, None)
+            .expect("scripted service must spawn");
+        for _ in 0..30_000 {
+            if svc.queued_bits() == 1 << 16 {
+                break;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(svc.queued_bits(), 1 << 16, "the pool never filled");
+        // From here on a batch takes a second: the first 8 KiB part
+        // drains the full pool, the second cannot fill in time.
+        state.throttle();
+        let co = Coalescer::new(1024, 64, 4096, Duration::from_millis(200));
+        assert_eq!(co.fetch(&svc, 16 * 1024), Err(FetchError::Underrun));
+        assert_eq!(svc.engine().stats().served_bits, 1 << 16);
         assert_eq!(svc.outstanding_requests(), 0);
     }
 
@@ -364,8 +407,8 @@ mod tests {
     #[test]
     fn combined_fetch_stays_within_the_pool() {
         // Fifteen 1 KiB tickets queue behind a leader parked on an
-        // empty 64 Kibit pool. Each is servable alone; combined they
-        // are 120 Kibit, which the engine would reject for all fifteen.
+        // empty 64 Kibit pool. Combined they are 120 Kibit: the leader
+        // must split them into batches the pool can hold.
         let gate = Arc::new(Barrier::new(2));
         let source = GatedSource {
             prng: PrngHarvestSource::new(0x0C0A_1E5C),
@@ -377,8 +420,9 @@ mod tests {
             min_entropy: 0.9,
             drbg: None,
         };
+        let registry = MetricsRegistry::with_recorder(FlightRecorder::new());
         let svc = Arc::new(
-            RandomnessService::with_sources_telemetry(vec![source], config, None)
+            RandomnessService::with_sources_telemetry(vec![source], config, Some(&registry))
                 .expect("gated service must spawn"),
         );
         // The server's caps: 64 tickets of up to 1 KiB each.
@@ -401,5 +445,20 @@ mod tests {
             assert_eq!(out.map(|buf| buf.len()), Ok(1024), "ticket {i}");
         }
         assert_eq!(svc.outstanding_requests(), 0);
+        let combined: Vec<u64> = registry
+            .recorder()
+            .expect("registry built with a recorder")
+            .records()
+            .iter()
+            .filter(|rec| rec.name == "serve.combine")
+            .filter_map(
+                |rec| match rec.attrs.iter().find(|(key, _)| *key == "bytes") {
+                    Some((_, AttrValue::U64(bytes))) => Some(*bytes),
+                    _ => None,
+                },
+            )
+            .collect();
+        assert!(combined.len() >= 2, "{combined:?}");
+        assert!(combined.iter().all(|&bytes| bytes <= 8192), "{combined:?}");
     }
 }

@@ -273,20 +273,6 @@ impl ServerShared {
     }
 }
 
-/// A handle that can stop a running [`Server`] from another thread
-/// (used by the `/-/shutdown` endpoint and signal handlers).
-#[derive(Debug, Clone)]
-pub struct ShutdownHandle {
-    shared: Arc<ServerShared>,
-}
-
-impl ShutdownHandle {
-    /// Requests a graceful stop (idempotent).
-    pub fn signal(&self) {
-        self.shared.signal_stop();
-    }
-}
-
 /// The running server: an acceptor, a worker pool, and the listener's
 /// bound address.
 #[derive(Debug)]
@@ -368,17 +354,8 @@ impl Server {
         self.shared.local_addr
     }
 
-    /// A cloneable handle that can stop this server from anywhere.
-    #[must_use]
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Parks until a [`ShutdownHandle::signal`] (e.g. the `/-/shutdown`
-    /// endpoint) fires, then joins the threads. The binary's main
-    /// thread lives here.
+    /// Parks until a stop request (the `/-/shutdown` endpoint) fires,
+    /// then joins the threads. The binary's main thread lives here.
     pub fn run_until_stopped(mut self) {
         {
             let mut stopped = self.shared.stop_state.lock();

@@ -107,12 +107,6 @@ impl RateLimiter {
             }
         }
     }
-
-    /// Number of tracked client addresses (for tests and metrics).
-    #[must_use]
-    pub fn tracked_clients(&self) -> usize {
-        self.buckets.lock().len()
-    }
 }
 
 #[cfg(test)]

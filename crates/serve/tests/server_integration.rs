@@ -276,6 +276,33 @@ fn zero_and_oversized_byte_counts_are_client_errors() {
 }
 
 #[test]
+fn every_admitted_size_is_served_on_both_tiers() {
+    // The pool holds 8 KiB and the per-request limit is 64 KiB: the
+    // `true` tier serves the sizes in between in pool-sized parts.
+    let service = prng_service(1 << 16);
+    let server = boot(Arc::clone(&service), ServerConfig::default());
+    let addr = server.local_addr();
+
+    for source in ["true", "fast"] {
+        for bytes in [8193, 65536] {
+            let resp = get(addr, &format!("/random?bytes={bytes}&source={source}"));
+            assert_eq!(
+                resp.status,
+                200,
+                "{source}, {bytes} bytes: {}",
+                String::from_utf8_lossy(&resp.body)
+            );
+            assert_eq!(resp.header("X-Drange-Source"), Some(source));
+            assert_eq!(resp.body.len(), bytes);
+        }
+        let resp = get(addr, &format!("/random?bytes=65537&source={source}"));
+        assert_eq!(resp.status, 400, "{source}, 65537 bytes");
+    }
+    assert_eq!(service.outstanding_requests(), 0);
+    server.shutdown();
+}
+
+#[test]
 fn unknown_paths_and_methods_map_to_404_and_405() {
     let service = prng_service(1 << 16);
     let server = boot(service, ServerConfig::default());

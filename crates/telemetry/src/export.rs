@@ -1,9 +1,9 @@
-//! Export surfaces: Prometheus text format and JSON snapshots.
+//! Export surface: the Prometheus text exposition format.
 
 use std::fmt::Write as _;
 
 use crate::metrics::{bucket_bound, HistogramSnapshot};
-use crate::registry::{MetricSample, MetricValue, MetricsRegistry};
+use crate::registry::{MetricValue, MetricsRegistry};
 
 /// Escapes a Prometheus label value (`\`, `"`, newline).
 fn escape_label(value: &str) -> String {
@@ -89,86 +89,12 @@ pub fn render_prometheus(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON document (shared with the
-/// flight recorder's Chrome-trace exporter).
-pub(crate) fn escape_json(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_labels(labels: &[(String, String)]) -> String {
-    let pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-        .collect();
-    format!("{{{}}}", pairs.join(","))
-}
-
-fn json_sample(sample: &MetricSample) -> String {
-    let head = format!(
-        "{{\"name\":\"{}\",\"kind\":\"{}\",\"labels\":{}",
-        escape_json(&sample.name),
-        sample.value.kind().prometheus_type(),
-        json_labels(&sample.labels)
-    );
-    match &sample.value {
-        MetricValue::Counter(v) | MetricValue::Gauge(v) => format!("{head},\"value\":{v}}}"),
-        MetricValue::Histogram(h) => {
-            let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-            format!(
-                "{head},\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"p50_ns\":{},\
-                 \"p95_ns\":{},\"p99_ns\":{},\"overflow\":{},\"buckets\":[{}]}}",
-                h.count,
-                h.sum,
-                h.max,
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.overflow,
-                buckets.join(",")
-            )
-        }
-    }
-}
-
-/// Renders the registry as one JSON document:
-/// `{"metrics":[{"name":...,"kind":...,"labels":{...},...}]}`.
-///
-/// Counters and gauges carry `"value"`; histograms carry
-/// `"count"`/`"sum_ns"`/`"max_ns"`, the p50/p95/p99 upper-bound
-/// estimates, and the raw (non-cumulative) bucket array.
-#[must_use]
-pub fn render_json(registry: &MetricsRegistry) -> String {
-    let entries: Vec<String> = registry.samples().iter().map(json_sample).collect();
-    format!("{{\"metrics\":[{}]}}", entries.join(","))
-}
-
 impl MetricsRegistry {
     /// Prometheus text-format rendering; see
     /// [`crate::export::render_prometheus`].
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         render_prometheus(self)
-    }
-
-    /// JSON snapshot rendering; see
-    /// [`crate::export::render_json`].
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        render_json(self)
     }
 }
 
@@ -309,34 +235,8 @@ drange_stage_latency_ns_count{stage=\"harvest\",worker=\"0\"} 3
     }
 
     #[test]
-    fn json_snapshot_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter("bits_total", &[("worker", "1")]).add(42);
-        let h = reg.histogram("lat_ns", &[]);
-        h.record_ns(100);
-        let json = reg.render_json();
-        assert!(json.starts_with("{\"metrics\":["));
-        assert!(json.contains(
-            "{\"name\":\"bits_total\",\"kind\":\"counter\",\"labels\":{\"worker\":\"1\"},\"value\":42}"
-        ));
-        assert!(json.contains("\"name\":\"lat_ns\""));
-        assert!(json.contains("\"count\":1"));
-        assert!(json.contains("\"p50_ns\":128"));
-        assert!(json.ends_with("]}"));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c", &[("k", "a\"b\\c\nd")]).inc();
-        let json = reg.render_json();
-        assert!(json.contains(r#""k":"a\"b\\c\nd""#), "{json}");
-    }
-
-    #[test]
     fn empty_registry_renders_empty() {
         let reg = MetricsRegistry::new();
         assert_eq!(reg.render_prometheus(), "");
-        assert_eq!(reg.render_json(), "{\"metrics\":[]}");
     }
 }

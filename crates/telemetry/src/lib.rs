@@ -17,8 +17,7 @@
 //!   registry is attached. `cargo run -p drange-bench --release --bin
 //!   telemetry_overhead` measures the difference.
 //! * **Export** — Prometheus text format
-//!   ([`MetricsRegistry::render_prometheus`]) and a JSON snapshot
-//!   ([`MetricsRegistry::render_json`]).
+//!   ([`MetricsRegistry::render_prometheus`]).
 //! * **Tracing** — [`Tracer`]/[`Span`] request spans with the same
 //!   noop-by-default cost model, draining into a bounded
 //!   [`FlightRecorder`] ring with Chrome trace-event JSON and
@@ -52,7 +51,7 @@ pub mod stage;
 mod sync_shim;
 pub mod trace;
 
-pub use export::{render_json, render_prometheus};
+pub use export::render_prometheus;
 pub use metrics::{
     bucket_bound, bucket_index, fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot,
     HISTOGRAM_BUCKETS,

@@ -30,7 +30,6 @@ use std::fmt::Write as _;
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
-use crate::export::escape_json;
 use crate::metrics::{fmt_ns, Counter};
 use crate::registry::{MetricKind, MetricsRegistry};
 use crate::sync_shim::{Arc, AtomicU64, Mutex};
@@ -376,9 +375,6 @@ impl FlightRecorder {
 fn json_attr(value: &AttrValue) -> String {
     match value {
         AttrValue::U64(v) => v.to_string(),
-        AttrValue::I64(v) => v.to_string(),
-        AttrValue::F64(v) if v.is_finite() => format!("{v}"),
-        AttrValue::F64(_) => "null".to_string(),
         AttrValue::Bool(v) => v.to_string(),
         AttrValue::Str(v) => format!("\"{}\"", escape_json(v)),
     }
@@ -388,11 +384,28 @@ fn json_attr(value: &AttrValue) -> String {
 fn fmt_attr(value: &AttrValue) -> String {
     match value {
         AttrValue::U64(v) => v.to_string(),
-        AttrValue::I64(v) => v.to_string(),
-        AttrValue::F64(v) => format!("{v}"),
         AttrValue::Bool(v) => v.to_string(),
         AttrValue::Str(v) => v.clone(),
     }
+}
+
+/// Escapes a string for embedding in a JSON document.
+fn escape_json(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for ch in value.chars() {
+        match ch {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -481,6 +494,18 @@ mod tests {
         // last_n limits to the most recent spans.
         let limited = recorder.render_chrome_trace(Some(1));
         assert_eq!(limited.matches("\"ph\":\"X\"").count(), 1);
+    }
+
+    /// Each character JSON requires escaped, checked in isolation so a
+    /// regression in one cannot hide behind the others.
+    #[test]
+    fn json_escapes_each_required_character() {
+        assert_eq!(escape_json(r"C:\temp"), r"C:\\temp");
+        assert_eq!(escape_json("say \"hi\""), r#"say \"hi\""#);
+        assert_eq!(escape_json("line1\nline2"), r"line1\nline2");
+        assert_eq!(escape_json("a\tb"), r"a\tb");
+        assert_eq!(escape_json("a\u{1}b"), r"a\u0001b");
+        assert_eq!(escape_json("plain é"), "plain é");
     }
 
     #[test]

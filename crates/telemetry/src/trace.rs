@@ -115,10 +115,6 @@ impl fmt::Display for SpanId {
 pub enum AttrValue {
     /// Unsigned integer (byte counts, ids).
     U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point (rates, ratios).
-    F64(f64),
     /// Boolean flag (degraded, coalesced).
     Bool(bool),
     /// Free-form text (statuses, peer addresses).
@@ -375,18 +371,6 @@ impl Span {
     #[inline]
     pub fn attr_u64(&mut self, key: &'static str, value: u64) {
         self.push_attr(key, AttrValue::U64(value));
-    }
-
-    /// Attaches a signed-integer attribute.
-    #[inline]
-    pub fn attr_i64(&mut self, key: &'static str, value: i64) {
-        self.push_attr(key, AttrValue::I64(value));
-    }
-
-    /// Attaches a floating-point attribute.
-    #[inline]
-    pub fn attr_f64(&mut self, key: &'static str, value: f64) {
-        self.push_attr(key, AttrValue::F64(value));
     }
 
     /// Attaches a boolean attribute.
